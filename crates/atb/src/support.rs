@@ -178,16 +178,6 @@ pub fn decode_echo(reply: &[u8], seq: i32) -> Result<Vec<u8>> {
 /// buffers.
 pub const ENVELOPE_SLACK: usize = 128;
 
-/// Ring geometry for fixed-protocol channels: a pipelined channel's
-/// window IS its ring depth; classic channels keep the default ring.
-fn fixed_ring_slots(depth: usize) -> usize {
-    if depth > 1 {
-        depth
-    } else {
-        ProtocolConfig::default().ring_slots
-    }
-}
-
 /// A running ATB server for any [`Mode`].
 pub enum AtbServer {
     /// Hint-aware engine server.
@@ -223,9 +213,9 @@ impl AtbServer {
     }
 
     /// Like [`AtbServer::start`] with an explicit pipeline depth. Fixed
-    /// mode builds the protocol's pipelined server when `depth > 1`;
-    /// HatRPC mode ignores `depth` here — it negotiates the window from
-    /// the schema's `queue_depth` hint per connection.
+    /// mode sizes the protocol's window to `depth`; HatRPC mode ignores
+    /// `depth` here — it negotiates the window from the schema's
+    /// `queue_depth` hint per connection.
     pub fn start_depth(
         fabric: &Fabric,
         node: &Arc<Node>,
@@ -257,7 +247,7 @@ impl AtbServer {
                 let cfg = ProtocolConfig {
                     poll,
                     max_msg: max_msg + ENVELOPE_SLACK,
-                    ring_slots: fixed_ring_slots(depth),
+                    ring_slots: depth,
                     ..Default::default()
                 };
                 let thread = std::thread::spawn(move || {
@@ -270,12 +260,7 @@ impl AtbServer {
                         let cfg = cfg.clone();
                         conns.push(std::thread::spawn(move || {
                             let node_id = ep.node().id();
-                            let built = if depth > 1 {
-                                hat_protocols::accept_server_pipelined(kind, ep, cfg)
-                            } else {
-                                accept_server(kind, ep, cfg)
-                            };
-                            let mut server = match built {
+                            let mut server = match accept_server(kind, ep, cfg) {
                                 Ok(s) => s,
                                 Err(e) => {
                                     hat_trace::annotate(
@@ -367,8 +352,6 @@ impl AtbServer {
 pub enum AtbClient {
     Hat(Box<HatClient>),
     Fixed(Box<dyn hat_protocols::RpcClient>),
-    /// Fixed protocol over its pipelined channel (depth > 1).
-    Piped(Box<dyn hat_protocols::PipelinedClient>),
     Ipoib(TSocket),
 }
 
@@ -386,8 +369,8 @@ impl AtbClient {
     }
 
     /// Like [`AtbClient::connect`] with an explicit pipeline depth. Fixed
-    /// mode opens the protocol's pipelined channel when `depth > 1`;
-    /// HatRPC mode takes its window from the schema's `queue_depth` hint.
+    /// mode sizes the protocol's window to `depth`; HatRPC mode takes its
+    /// window from the schema's `queue_depth` hint.
     pub fn connect_depth(
         fabric: &Fabric,
         node: &Arc<Node>,
@@ -404,14 +387,10 @@ impl AtbClient {
                 let cfg = ProtocolConfig {
                     poll,
                     max_msg: max_msg + ENVELOPE_SLACK,
-                    ring_slots: fixed_ring_slots(depth),
+                    ring_slots: depth,
                     ..Default::default()
                 };
-                if depth > 1 {
-                    AtbClient::Piped(hat_protocols::connect_client_pipelined(kind, ep, cfg)?)
-                } else {
-                    AtbClient::Fixed(connect_client(kind, ep, cfg)?)
-                }
+                AtbClient::Fixed(connect_client(kind, ep, cfg)?)
             }
             Mode::Ipoib => AtbClient::Ipoib(TSocket::dial(fabric, node, service)?),
         })
@@ -423,7 +402,6 @@ impl AtbClient {
         let reply = match self {
             AtbClient::Hat(c) => c.call(method, &request)?,
             AtbClient::Fixed(c) => c.call(&request)?,
-            AtbClient::Piped(p) => hat_protocols::pipeline::call_sync(p.as_mut(), &request)?,
             AtbClient::Ipoib(c) => {
                 hatrpc_core::transport::ClientTransport::call(c, method, &request)?
             }
@@ -432,8 +410,8 @@ impl AtbClient {
     }
 
     /// Open-loop batch: issue one echo per payload, keeping the channel's
-    /// window full (pipelined stacks) or degrading to back-to-back
-    /// closed-loop calls (classic stacks). Sequence numbers run from
+    /// window full (windowed stacks) or degrading to back-to-back
+    /// closed-loop calls (the other kinds). Sequence numbers run from
     /// `base_seq`; replies come back in request order.
     pub fn call_many(
         &mut self,
@@ -441,25 +419,25 @@ impl AtbClient {
         base_seq: i32,
         payloads: &[Vec<u8>],
     ) -> Result<Vec<Vec<u8>>> {
-        match self {
-            AtbClient::Hat(c) => {
-                let requests: Vec<Vec<u8>> = payloads
-                    .iter()
-                    .enumerate()
-                    .map(|(i, p)| encode_echo(method, base_seq + i as i32, p))
-                    .collect();
-                let replies = c.call_many(method, &requests)?;
-                replies
-                    .iter()
-                    .enumerate()
-                    .map(|(i, r)| decode_echo(r, base_seq + i as i32))
-                    .collect()
-            }
-            AtbClient::Piped(p) => {
+        if let AtbClient::Hat(c) = self {
+            let requests: Vec<Vec<u8>> = payloads
+                .iter()
+                .enumerate()
+                .map(|(i, p)| encode_echo(method, base_seq + i as i32, p))
+                .collect();
+            let replies = c.call_many(method, &requests)?;
+            return replies
+                .iter()
+                .enumerate()
+                .map(|(i, r)| decode_echo(r, base_seq + i as i32))
+                .collect();
+        }
+        let mut out = Vec::with_capacity(payloads.len());
+        if let AtbClient::Fixed(c) = self {
+            if let Some(p) = c.pipelined() {
                 // Sliding window straight on the protocol channel.
                 let window = p.window();
                 let mut inflight = std::collections::VecDeque::with_capacity(window);
-                let mut out = Vec::with_capacity(payloads.len());
                 let mut next = 0usize;
                 loop {
                     // Refill only once the window has drained to half, so
@@ -473,21 +451,17 @@ impl AtbClient {
                             next += 1;
                         }
                     }
-                    let Some(&(token, seq)) = inflight.front() else { break };
+                    let Some(&(token, seq)) = inflight.front() else { return Ok(out) };
                     let reply = p.wait(token)?;
                     out.push(decode_echo(reply.as_slice(), seq)?);
                     inflight.pop_front();
                 }
-                Ok(out)
-            }
-            _ => {
-                let mut out = Vec::with_capacity(payloads.len());
-                for (i, p) in payloads.iter().enumerate() {
-                    out.push(self.call(method, base_seq + i as i32, p)?);
-                }
-                Ok(out)
             }
         }
+        for (i, p) in payloads.iter().enumerate() {
+            out.push(self.call(method, base_seq + i as i32, p)?);
+        }
+        Ok(out)
     }
 }
 

@@ -19,7 +19,6 @@ fn bench(c: &mut Criterion) {
         let cfg = ProtocolConfig {
             poll: PollMode::Busy,
             max_msg: 64 * 1024,
-            ring_slots: 16,
             eager_threshold: threshold,
             ..Default::default()
         };

@@ -22,8 +22,8 @@ use std::sync::Arc;
 
 use hat_idl::hints::{ResolvedHints, Side, TransportHint};
 use hat_protocols::{
-    accept_server, accept_server_pipelined, accept_server_reactor, connect_client,
-    connect_client_pipelined, ProtocolConfig, ProtocolKind, RpcClient, PIPELINED_KINDS,
+    accept_server, accept_server_reactor, connect_client, ProtocolConfig, ProtocolKind, RpcClient,
+    PIPELINED_KINDS,
 };
 use hat_rdma_sim::{now_ns, numa, Fabric, Node, NodeStats, PollMode, RdmaError};
 use hat_trace::Phase;
@@ -76,11 +76,12 @@ struct Preamble {
     kind: ProtocolKind,
     client_poll: PollMode,
     max_msg: u64,
+    /// The channel's window (see [`ProtocolConfig::ring_slots`]).
     ring_slots: u32,
     eager_threshold: u32,
-    /// Requested in-flight window. `> 1` asks the server to build the
-    /// pipelined variant of the protocol; `1` (or `0` from old peers)
-    /// means the classic one-at-a-time channel.
+    /// Requested in-flight window. `> 1` lets a reactor server drive the
+    /// connection; `1` (or `0` from old peers) keeps it on a serve-loop
+    /// thread.
     queue_depth: u32,
     /// Capability bits ([`FLAG_ONESIDED`] is the only one defined).
     flags: u8,
@@ -206,8 +207,6 @@ struct FnPlan {
     key: ChannelKey,
 }
 
-/// Default eager ring depth for engine-created channels.
-const ENGINE_RING_SLOTS: usize = 16;
 /// Upper bound on the `queue_depth` hint: every in-flight slot pins ring
 /// memory on both peers, so a runaway hint must not exhaust the MR budget.
 const MAX_QUEUE_DEPTH: u32 = 1024;
@@ -824,11 +823,10 @@ impl HatClient {
         // caller pacing error, not a transport failure, so the channel
         // (and its in-flight siblings) stays healthy.
         if pipe.in_flight() >= pipe.window() {
-            return Err(CoreError::Rdma(RdmaError::InvalidWorkRequest(format!(
-                "async window full for '{func}' ({} in flight): poll a completion \
-                 before submitting more",
-                pipe.in_flight()
-            ))));
+            return Err(CoreError::Rdma(RdmaError::WindowFull {
+                in_flight: pipe.in_flight(),
+                window: pipe.window(),
+            }));
         }
         let (call_id, start_ns) = if traced {
             let id = hat_trace::next_call_id();
@@ -1088,15 +1086,14 @@ impl HatClient {
             return Ok(Box::new(socket));
         }
         let ep = self.fabric.dial(&self.node, &self.service)?;
-        // A pipelined channel's window IS its ring depth: each in-flight
-        // request owns one slot of every ring for its whole lifetime.
-        let ring_slots =
-            if plan.queue_depth > 1 { plan.queue_depth as usize } else { ENGINE_RING_SLOTS };
+        // The window IS the ring depth: each in-flight request owns one
+        // slot of every ring for its whole lifetime. Depth 1 is a window
+        // of 1.
         let preamble = Preamble {
             kind: plan.selection.protocol,
             client_poll: plan.selection.poll,
             max_msg: plan.max_msg,
-            ring_slots: ring_slots as u32,
+            ring_slots: plan.queue_depth,
             eager_threshold: ENGINE_EAGER_THRESHOLD as u32,
             queue_depth: plan.queue_depth,
             flags: (if plan.onesided { FLAG_ONESIDED } else { 0 })
@@ -1114,14 +1111,10 @@ impl HatClient {
         let cfg = ProtocolConfig {
             poll: plan.selection.poll,
             max_msg: plan.max_msg as usize,
-            ring_slots,
+            ring_slots: plan.queue_depth as usize,
             eager_threshold: ENGINE_EAGER_THRESHOLD,
             op_timeout_ns: self.policy.deadline.as_nanos() as u64,
         };
-        if plan.queue_depth > 1 {
-            let client = connect_client_pipelined(plan.selection.protocol, ep, cfg)?;
-            return Ok(Box::new(RdmaPipelinedCall { inner: client }));
-        }
         let client = connect_client(plan.selection.protocol, ep, cfg)?;
         Ok(Box::new(RdmaCall { inner: client }))
     }
@@ -1162,7 +1155,10 @@ impl AsyncCall {
     }
 }
 
-/// Adapter from a protocol client to [`ClientTransport`].
+/// Adapter from a protocol client to [`ClientTransport`]. A windowed
+/// kind's window surfaces through [`ClientTransport::pipelined`] for
+/// [`HatClient::call_many`] / [`HatClient::call_pipelined`] /
+/// [`HatClient::call_async`].
 struct RdmaCall {
     inner: Box<dyn RpcClient>,
 }
@@ -1175,27 +1171,9 @@ impl ClientTransport for RdmaCall {
     fn label(&self) -> &'static str {
         "trdma-hinted"
     }
-}
-
-/// Adapter from a pipelined protocol client to [`ClientTransport`]:
-/// single calls degrade to a submit-then-wait window of one, and the
-/// window surfaces through [`ClientTransport::pipelined`] for
-/// [`HatClient::call_many`] / [`HatClient::call_pipelined`].
-struct RdmaPipelinedCall {
-    inner: Box<dyn hat_protocols::PipelinedClient>,
-}
-
-impl ClientTransport for RdmaPipelinedCall {
-    fn call(&mut self, _fn_name: &str, request: &[u8]) -> Result<Vec<u8>> {
-        Ok(hat_protocols::pipeline::call_sync(self.inner.as_mut(), request)?)
-    }
-
-    fn label(&self) -> &'static str {
-        "trdma-hinted-pipelined"
-    }
 
     fn pipelined(&mut self) -> Option<&mut dyn hat_protocols::PipelinedClient> {
-        Some(self.inner.as_mut())
+        self.inner.pipelined()
     }
 }
 
@@ -1220,10 +1198,9 @@ pub enum ServerPolicy {
     ThreadPool(usize),
     /// One completion-driven driver thread multiplexes every
     /// reactor-capable connection (pipelined protocols, i.e. the client
-    /// hinted `queue_depth > 1`) — see [`crate::reactor`]. Connections
-    /// whose protocol has no reactor state machine (classic depth-1
-    /// channels, rendezvous/read-based kinds) fall back to a thread each,
-    /// as under [`ServerPolicy::Threaded`].
+    /// hinted `queue_depth > 1`) — see [`crate::reactor`]. Depth-1
+    /// channels and the rendezvous/read-based kinds fall back to a
+    /// thread each, as under [`ServerPolicy::Threaded`].
     Reactor,
 }
 
@@ -1518,13 +1495,9 @@ fn negotiate(
         let server = accept_server_reactor(preamble.kind, ep, cfg)?;
         return Ok(Negotiated::Reactor(ReactorItem { server, fn_scope, proto_label, node_id }));
     }
-    // queue_depth > 1 asks for the protocol's pipelined variant: the
-    // window rides in `ring_slots`, so the geometry above already fits.
-    let server = if preamble.queue_depth > 1 {
-        accept_server_pipelined(preamble.kind, ep, cfg)?
-    } else {
-        accept_server(preamble.kind, ep, cfg)?
-    };
+    // The window rides in `ring_slots`, so the geometry above already
+    // fits whatever depth the client asked for.
+    let server = accept_server(preamble.kind, ep, cfg)?;
     Ok(Negotiated::Classic(WorkItem {
         server,
         numa_bind: server_hints.numa_binding.unwrap_or(false),

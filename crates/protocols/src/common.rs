@@ -100,7 +100,10 @@ pub struct ProtocolConfig {
     /// Largest message this connection must carry (sizes the pre-known
     /// buffers and eager slots).
     pub max_msg: usize,
-    /// Number of slots in eager receive rings.
+    /// The window: how many requests a windowed kind (Eager-SendRecv, the
+    /// Direct-Write family, Hybrid-EagerRNDV) keeps in flight, and so how
+    /// many per-slot buffers each end registers. 1 is a one-at-a-time
+    /// channel. The other kinds ignore it.
     pub ring_slots: usize,
     /// Eager-vs-rendezvous switch point for [`ProtocolKind::HybridEagerRndv`].
     /// The paper fixes this at 4 KB.
@@ -117,7 +120,7 @@ impl Default for ProtocolConfig {
         ProtocolConfig {
             poll: PollMode::Busy,
             max_msg: 256 * 1024,
-            ring_slots: 16,
+            ring_slots: 1,
             eager_threshold: 4096,
             op_timeout_ns: POLL_TIMEOUT_NS,
         }
@@ -156,6 +159,12 @@ pub trait RpcClient: Send {
 
     /// Which protocol this client speaks.
     fn kind(&self) -> ProtocolKind;
+
+    /// The client's request window, for kinds that have one (see
+    /// [`crate::pipeline`]); `None` for one-call-at-a-time kinds.
+    fn pipelined(&mut self) -> Option<&mut dyn crate::pipeline::PipelinedClient> {
+        None
+    }
 }
 
 /// Server side of an RPC protocol, serving one connection.
@@ -183,23 +192,13 @@ pub fn connect_client(
     cfg: ProtocolConfig,
 ) -> Result<Box<dyn RpcClient>> {
     Ok(match kind {
-        ProtocolKind::EagerSendRecv => Box::new(crate::eager::EagerSendRecv::client(ep, cfg)?),
-        ProtocolKind::DirectWriteSend => {
-            Box::new(crate::direct_write::DirectWriteSend::client(ep, cfg)?)
-        }
-        ProtocolKind::ChainedWriteSend => {
-            Box::new(crate::direct_write::ChainedWriteSend::client(ep, cfg)?)
-        }
         ProtocolKind::WriteRndv => Box::new(crate::rndv::WriteRndv::client(ep, cfg)?),
         ProtocolKind::ReadRndv => Box::new(crate::rndv::ReadRndv::client(ep, cfg)?),
-        ProtocolKind::DirectWriteImm => {
-            Box::new(crate::direct_write::DirectWriteImm::client(ep, cfg)?)
-        }
         ProtocolKind::Pilaf => Box::new(crate::read_based::Pilaf::client(ep, cfg)?),
         ProtocolKind::Farm => Box::new(crate::read_based::Farm::client(ep, cfg)?),
         ProtocolKind::Rfp => Box::new(crate::read_based::Rfp::client(ep, cfg)?),
-        ProtocolKind::HybridEagerRndv => Box::new(crate::hybrid::HybridEagerRndv::client(ep, cfg)?),
         ProtocolKind::Herd => Box::new(crate::herd::Herd::client(ep, cfg)?),
+        windowed => crate::pipeline::open_windowed(windowed, ep, cfg)?,
     })
 }
 
@@ -210,23 +209,13 @@ pub fn accept_server(
     cfg: ProtocolConfig,
 ) -> Result<Box<dyn RpcServer>> {
     Ok(match kind {
-        ProtocolKind::EagerSendRecv => Box::new(crate::eager::EagerSendRecv::server(ep, cfg)?),
-        ProtocolKind::DirectWriteSend => {
-            Box::new(crate::direct_write::DirectWriteSend::server(ep, cfg)?)
-        }
-        ProtocolKind::ChainedWriteSend => {
-            Box::new(crate::direct_write::ChainedWriteSend::server(ep, cfg)?)
-        }
         ProtocolKind::WriteRndv => Box::new(crate::rndv::WriteRndv::server(ep, cfg)?),
         ProtocolKind::ReadRndv => Box::new(crate::rndv::ReadRndv::server(ep, cfg)?),
-        ProtocolKind::DirectWriteImm => {
-            Box::new(crate::direct_write::DirectWriteImm::server(ep, cfg)?)
-        }
         ProtocolKind::Pilaf => Box::new(crate::read_based::Pilaf::server(ep, cfg)?),
         ProtocolKind::Farm => Box::new(crate::read_based::Farm::server(ep, cfg)?),
         ProtocolKind::Rfp => Box::new(crate::read_based::Rfp::server(ep, cfg)?),
-        ProtocolKind::HybridEagerRndv => Box::new(crate::hybrid::HybridEagerRndv::server(ep, cfg)?),
         ProtocolKind::Herd => Box::new(crate::herd::Herd::server(ep, cfg)?),
+        windowed => crate::pipeline::open_windowed(windowed, ep, cfg)?,
     })
 }
 
@@ -316,25 +305,27 @@ impl CtrlRing {
         self.read_slot(comp).map(Some)
     }
 
-    /// Non-blocking receive: `None` when no message is ready right now.
-    pub(crate) fn try_recv(&self) -> Result<Option<Vec<u8>>> {
-        let Some(comp) = self.ep.recv_cq().try_poll() else { return Ok(None) };
-        self.read_slot(comp).map(Some)
-    }
-
     /// Copy one completed slot out and recycle it.
     fn read_slot(&self, comp: hat_rdma_sim::Completion) -> Result<Vec<u8>> {
-        comp.ok()?;
-        let slot = comp.wr_id as usize % self.slots;
-        let data = self.mr.read_vec(slot * self.slot_size, comp.byte_len)?;
-        // Recycle the slot.
-        self.ep.post_recv(RecvWr::new(
-            comp.wr_id,
-            self.mr.clone(),
-            slot * self.slot_size,
-            self.slot_size,
-        ))?;
+        let mut data = vec![0u8; comp.byte_len];
+        self.read_exact(comp, &mut data)?;
         Ok(data)
+    }
+
+    /// Copy one completed slot's message — which must be exactly
+    /// `out.len()` bytes — into `out`, and recycle the slot.
+    pub(crate) fn read_exact(&self, comp: hat_rdma_sim::Completion, out: &mut [u8]) -> Result<()> {
+        let comp = comp.ok()?;
+        if comp.byte_len != out.len() {
+            return Err(RdmaError::InvalidWorkRequest(format!(
+                "control message of {} bytes, expected {}",
+                comp.byte_len,
+                out.len()
+            )));
+        }
+        let base = (comp.wr_id as usize % self.slots) * self.slot_size;
+        self.mr.read(base, out)?;
+        self.ep.post_recv(RecvWr::new(comp.wr_id, self.mr.clone(), base, self.slot_size))
     }
 }
 

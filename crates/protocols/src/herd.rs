@@ -18,6 +18,10 @@ use crate::common::{charge_memcpy, poll_recv, ProtocolConfig, ProtocolKind, RpcC
 
 /// Eager response framing: 4-byte length prefix.
 const HDR: usize = 4;
+/// Receive-ring depth. Fixed: these kinds serve one call at a time, so
+/// [`ProtocolConfig::ring_slots`] (the window of the windowed kinds) does
+/// not apply.
+const RING_SLOTS: usize = 16;
 
 /// One side of a HERD-emulation connection.
 pub struct Herd {
@@ -57,17 +61,17 @@ impl Herd {
         let peer_blob = crate::common::exchange_blobs(&ep, &blob)?;
         let peer_req = if is_client { Some(RemoteBuf::decode(&peer_blob)?) } else { None };
 
-        let resp_ring = ep.pd().register(cfg.ring_slots * slot_size)?;
+        let resp_ring = ep.pd().register(RING_SLOTS * slot_size)?;
         if is_client {
             // Client pre-posts the response ring.
-            for i in 0..cfg.ring_slots {
+            for i in 0..RING_SLOTS {
                 ep.post_recv(RecvWr::new(i as u64, resp_ring.clone(), i * slot_size, slot_size))?;
             }
         } else {
             // Server pre-posts zero-length receives for the request
             // notification SENDs.
             let dummy = ep.pd().register(1)?;
-            for i in 0..cfg.ring_slots {
+            for i in 0..RING_SLOTS {
                 ep.post_recv(RecvWr::new(i as u64, dummy.clone(), 0, 0))?;
             }
         }
@@ -114,7 +118,7 @@ impl RpcClient for Herd {
             return Err(hat_rdma_sim::RdmaError::Disconnected);
         };
         comp.ok()?;
-        let slot = comp.wr_id as usize % self.cfg.ring_slots;
+        let slot = comp.wr_id as usize % RING_SLOTS;
         let base = slot * self.slot_size;
         let mut hdr = [0u8; HDR];
         self.resp_ring.read(base, &mut hdr)?;

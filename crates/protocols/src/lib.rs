@@ -4,33 +4,32 @@
 //! protocols the paper analyzes in §3, over the simulated verbs layer
 //! ([`hat_rdma_sim`]), behind a uniform [`RpcClient`]/[`RpcServer`] API:
 //!
-//! | Protocol | Figure | Request path | Response path |
-//! |---|---|---|---|
-//! | [`eager::EagerSendRecv`] | 3a | copy + SEND into pre-posted ring | copy + SEND |
-//! | [`direct_write::DirectWriteSend`] | 3b | WRITE to pre-known buf + SEND notify (2 doorbells) | same |
-//! | [`direct_write::ChainedWriteSend`] | 3c | WRITE+SEND chained (1 doorbell) | same |
-//! | [`rndv::WriteRndv`] | 3d | RTS → CTS → WRITE + FIN | same |
-//! | [`rndv::ReadRndv`] | 3e | RTS(with rkey) → server READs | RTS → client READs → FIN |
-//! | [`direct_write::DirectWriteImm`] | 3f | WRITE_WITH_IMM (1 WR) | WRITE_WITH_IMM |
-//! | [`read_based::Pilaf`] | 3g | SEND | client: 2 READs metadata + 1 READ payload |
-//! | [`read_based::Farm`] | 3h | SEND | client: 1 READ metadata + 1 READ payload |
-//! | [`read_based::Rfp`] | 3i | WRITE into server buf (server polls memory) | client READ-polls server buf |
-//! | [`hybrid::HybridEagerRndv`] | §4.3 | eager ≤ 4 KB else Read-RNDV | same |
+//! | Protocol | Figure | Implementing type | Request path | Response path |
+//! |---|---|---|---|---|
+//! | Eager-SendRecv | 3a | [`EagerSendRecv`] | copy + SEND into pre-posted ring | copy + SEND |
+//! | Direct-Write-Send | 3b | [`ChainedWriteSend`] (separate doorbells) | WRITE to pre-known buf + SEND notify (2 doorbells) | same |
+//! | Chained-Write-Send | 3c | [`ChainedWriteSend`] | WRITE+SEND chained (1 doorbell) | same |
+//! | Write-RNDV | 3d | [`rndv::WriteRndv`] | RTS → CTS → WRITE + FIN | same |
+//! | Read-RNDV | 3e | [`rndv::ReadRndv`] | RTS(with rkey) → server READs | RTS → client READs → FIN |
+//! | Direct-WriteIMM | 3f | [`DirectWriteImm`] | WRITE_WITH_IMM (1 WR) | WRITE_WITH_IMM |
+//! | Pilaf | 3g | [`read_based::Pilaf`] | SEND | client: 2 READs metadata + 1 READ payload |
+//! | FaRM | 3h | [`read_based::Farm`] | SEND | client: 1 READ metadata + 1 READ payload |
+//! | RFP | 3i | [`read_based::Rfp`] | WRITE into server buf (server polls memory) | client READ-polls server buf |
+//! | Hybrid-EagerRNDV | §4.3 | [`HybridEagerRndv`] | eager ≤ 4 KB else RTS + peer READ | same |
+//! | HERD | §5.4 | [`herd::Herd`] | WRITE into server buf + SEND notify | copy + SEND |
 //!
 //! The HatRPC engine (`hatrpc-core`) selects among these per service or
 //! function based on user hints; benchmarks compare them head-to-head to
 //! regenerate the paper's Figures 4 and 5.
 //!
-//! Four protocols additionally offer a **pipelined** channel
-//! ([`pipeline::PipelinedClient`]): a sliding window of in-flight
-//! requests with doorbell-batched posting and pooled zero-alloc response
-//! delivery — see the [`pipeline`] module docs.
+//! The rows backed by [`pipeline::Windowed`] have one implementation each:
+//! a window of [`ProtocolConfig::ring_slots`] in-flight requests, with
+//! doorbell-batched posting and pooled zero-alloc response delivery
+//! ([`pipeline::PipelinedClient`]). A depth-1 channel is a window of 1 —
+//! see the [`pipeline`] module docs.
 
 pub mod common;
-pub mod direct_write;
-pub mod eager;
 pub mod herd;
-pub mod hybrid;
 pub mod onesided;
 pub mod pipeline;
 pub mod read_based;
@@ -40,16 +39,13 @@ pub use common::{
     accept_server, connect_client, exchange_blobs, exchange_blobs_deadline, ProtocolConfig,
     ProtocolKind, RpcClient, RpcServer,
 };
-pub use direct_write::{ChainedWriteSend, DirectWriteImm, DirectWriteSend};
-pub use eager::EagerSendRecv;
 pub use herd::Herd;
-pub use hybrid::HybridEagerRndv;
 pub use onesided::{
     onesided_service, FallbackReason, OneSidedAdvert, OneSidedHost, OneSidedIndex, OneSidedReader,
 };
 pub use pipeline::{
-    accept_server_pipelined, accept_server_reactor, connect_client_pipelined, PipelinedAsSync,
-    PipelinedClient, ReactorServe, Token, PIPELINED_KINDS,
+    accept_server_reactor, ChainedWriteSend, DirectWriteImm, EagerSendRecv, HybridEagerRndv,
+    PipelinedClient, ReactorServe, Token, Windowed, PIPELINED_KINDS,
 };
 pub use read_based::{Farm, Pilaf, Rfp};
 pub use rndv::{ReadRndv, WriteRndv};

@@ -1,11 +1,10 @@
-//! Pipelined RPC channels: sliding-window in-flight requests with
-//! doorbell-batched posting and a zero-alloc hot path.
+//! Windowed RPC channels: the one implementation of Eager-SendRecv, the
+//! Direct-Write family and Hybrid-EagerRNDV.
 //!
-//! The synchronous [`crate::RpcClient`] issues one request and blocks for
-//! its response, leaving the wire idle for a full round trip per call. A
-//! [`PipelinedClient`] instead keeps up to `window` requests in flight
-//! (the window is bounded by [`crate::ProtocolConfig::ring_slots`], which
-//! the engine derives from the `queue_depth` hint):
+//! A [`Windowed`] connection keeps up to `window` requests in flight (the
+//! window is [`crate::ProtocolConfig::ring_slots`], which the engine sets
+//! from the `queue_depth` hint). A depth-1 channel is the same code with a
+//! window of 1: [`RpcClient::call`] is a submit, a flush and a wait.
 //!
 //! * [`PipelinedClient::submit`] stages a request and returns a [`Token`]
 //!   immediately — **no doorbell is rung yet**. Consecutive submits
@@ -18,42 +17,53 @@
 //!   performs **zero heap allocations** (eager path; verified by the
 //!   `zero_alloc` integration test).
 //!
-//! Every frame carries its token explicitly, so completions map back to
-//! the right request even when fault injection delays and reorders CQ
-//! entries. Responses may be taken in any order; a window slot is recycled
-//! only once its response has been *taken* by the caller, which doubles as
-//! flow control for the per-slot remote rings (no FIN control messages are
-//! needed: by the time token `t + window` can be submitted, the buffers of
-//! token `t` are provably quiescent).
+//! **One slot rule.** A submit claims *any* free window slot, and every
+//! message carries that slot in-band (frame header, notify or immediate),
+//! so both ends address their per-slot stripes by it and completions map
+//! back to the right request even when fault injection reorders CQ
+//! entries. The window is full only when `in_flight == window`: a response
+//! that arrived but is not yet taken never blocks an unrelated submit. A
+//! slot is recycled only once its response has been *taken* by the
+//! caller, which doubles as flow control for the per-slot remote buffers —
+//! no FIN or credit messages are needed.
 //!
-//! Four protocols have pipelined implementations, mirroring their
-//! synchronous counterparts' wire behaviour:
+//! Both ends of a connection are the same [`Windowed`] type; the kinds
+//! differ only in their [`Wire`]:
 //!
-//! | kind | request path | notify | doorbells per flushed batch |
-//! |------|--------------|--------|------------------------------|
-//! | Eager-SendRecv | copy + SEND per slot | in-frame | 1 |
-//! | Chained-Write-Send | WRITE to per-slot remote ring | chained inline SEND | 1 |
-//! | Direct-WriteIMM | WRITE_WITH_IMM, imm = slot | in-slot header | 1 |
-//! | Hybrid-EagerRNDV | eager frame or RTS + peer READ | in-frame | 1 |
+//! | kind | message path | slot carried in | doorbells per flushed batch |
+//! |------|--------------|-----------------|------------------------------|
+//! | Eager-SendRecv | copy + SEND into the peer's receive ring | frame header | 1 |
+//! | Direct-Write-Send | WRITE to a per-slot stripe, then SEND notify | notify | 1 per WR |
+//! | Chained-Write-Send | WRITE + SEND notify, chained | notify | 1 |
+//! | Direct-WriteIMM | WRITE_WITH_IMM into a per-slot stripe | immediate | 1 |
+//! | Hybrid-EagerRNDV | eager frame, or RTS + peer READ above the threshold | frame header | 1 |
+//!
+//! The batching counters (`pipelined_calls`, `pipeline_doorbells`,
+//! `inflight_hwm`) and the trace's `Flush`/`Burst` events describe
+//! pipelining, so they fire only when the window is larger than 1.
 
 use hat_rdma_sim::stats::NodeStats;
-use hat_rdma_sim::{Endpoint, MemoryRegion, PoolBuf, RecvWr, RemoteBuf, Result, SendWr};
+use hat_rdma_sim::{
+    Completion, CompletionQueue, Endpoint, MemoryRegion, PoolBuf, RdmaError, RecvWr, RemoteBuf,
+    Result, SendWr,
+};
 
 use crate::common::{
     charge_memcpy, poll_recv, CtrlRing, ProtocolConfig, ProtocolKind, RpcClient, RpcServer,
 };
 
 /// Identifies one submitted request. Tokens are sequential per channel,
-/// starting at 0; token `t` occupies window slot `t % window`.
+/// starting at 0.
 pub type Token = u64;
 
 /// Client side of a pipelined RPC channel. See the module docs for the
 /// submit/flush/complete protocol.
 pub trait PipelinedClient: Send {
     /// Stage one request and return its token. Fails with
-    /// `InvalidWorkRequest` when the window is full — the caller must take
-    /// a completed response (via [`Self::try_complete`] or [`Self::wait`])
-    /// before submitting more. No doorbell is rung until [`Self::flush`].
+    /// [`RdmaError::WindowFull`] when every slot is taken — the caller must
+    /// take a completed response (via [`Self::try_complete`] or
+    /// [`Self::wait`]) before submitting more. No doorbell is rung until
+    /// [`Self::flush`].
     fn submit(&mut self, request: &[u8]) -> Result<Token>;
 
     /// Post all staged work requests under a single doorbell. A no-op when
@@ -86,15 +96,8 @@ pub trait PipelinedClient: Send {
     fn kind(&self) -> ProtocolKind;
 }
 
-/// One call at a time, expressed over the pipelined API — lets the engine
-/// reuse a pipelined channel for plain synchronous calls.
-pub fn call_sync(client: &mut dyn PipelinedClient, request: &[u8]) -> Result<Vec<u8>> {
-    let token = client.submit(request)?;
-    Ok(client.wait(token)?.to_vec())
-}
-
 // ---------------------------------------------------------------------------
-// Window bookkeeping shared by every pipelined protocol.
+// Window bookkeeping.
 // ---------------------------------------------------------------------------
 
 enum Slot {
@@ -116,7 +119,6 @@ struct Window {
 
 impl Window {
     fn new(window: usize) -> Window {
-        assert!(window > 0, "pipeline window must be at least 1");
         Window { slots: (0..window).map(|_| Slot::Free).collect(), next_token: 0, in_flight: 0 }
     }
 
@@ -124,51 +126,12 @@ impl Window {
         self.slots.len()
     }
 
-    fn slot_of(&self, token: Token) -> usize {
-        token as usize % self.slots.len()
-    }
-
-    fn full_error(&self) -> hat_rdma_sim::RdmaError {
-        hat_rdma_sim::RdmaError::InvalidWorkRequest(format!(
-            "pipeline window full ({} of {} in flight): take a completed \
-             response before submitting more",
-            self.in_flight,
-            self.slots.len()
-        ))
-    }
-
-    /// Claim the next token, mapped to its *ring* slot `token % len`.
-    /// Fails while that specific slot is occupied — even when other slots
-    /// are free. Protocols whose wire format pins per-message stripes to
-    /// `token % window` on both sides (chained-write, write-imm, hybrid)
-    /// must use this mapping; their callers have to take response `k`
-    /// before submitting `k + window`.
-    fn begin(&mut self) -> Result<(Token, usize)> {
-        let token = self.next_token;
-        let slot = self.slot_of(token);
-        if !matches!(self.slots[slot], Slot::Free) {
-            return Err(self.full_error());
-        }
-        self.slots[slot] = Slot::Waiting(token);
-        self.next_token += 1;
-        self.in_flight += 1;
-        Ok((token, slot))
-    }
-
-    /// Claim the next token, mapped to *any* free slot. Fails only when
-    /// the window is genuinely full (`in_flight == len`). For protocols
-    /// that carry the token in-band in both directions (eager), where a
-    /// response left `Ready` in its slot — arrived, but its owner has not
-    /// polled it yet — must not block an unrelated submit.
+    /// Claim the next token and any free slot — the one slot-claim rule.
+    /// Fails only when the window is genuinely full (`in_flight == len`).
     fn begin_any(&mut self) -> Result<(Token, usize)> {
-        if self.in_flight == self.slots.len() {
-            return Err(self.full_error());
-        }
-        let slot = self
-            .slots
-            .iter()
-            .position(|s| matches!(s, Slot::Free))
-            .expect("in_flight < len implies a free slot");
+        let Some(slot) = self.slots.iter().position(|s| matches!(s, Slot::Free)) else {
+            return Err(RdmaError::WindowFull { in_flight: self.in_flight, window: self.len() });
+        };
         let token = self.next_token;
         self.slots[slot] = Slot::Waiting(token);
         self.next_token += 1;
@@ -176,33 +139,31 @@ impl Window {
         Ok((token, slot))
     }
 
-    /// Record an arrived response for `token`.
-    fn complete(&mut self, token: Token, response: PoolBuf) -> Result<()> {
-        for s in self.slots.iter_mut() {
-            if matches!(s, Slot::Waiting(t) if *t == token) {
-                *s = Slot::Ready(token, response);
-                return Ok(());
+    /// Record the arrived response for the request holding `slot`.
+    fn complete(&mut self, slot: usize, response: PoolBuf) -> Result<()> {
+        match self.slots.get(slot) {
+            Some(&Slot::Waiting(token)) => {
+                self.slots[slot] = Slot::Ready(token, response);
+                Ok(())
             }
+            _ => Err(RdmaError::InvalidWorkRequest(format!(
+                "response for slot {slot} does not match any in-flight request"
+            ))),
         }
-        Err(hat_rdma_sim::RdmaError::InvalidWorkRequest(format!(
-            "completion for token {token} does not match any in-flight request"
-        )))
     }
 
     /// Take the lowest-token ready response, if any.
     fn take_any(&mut self) -> Option<(Token, PoolBuf)> {
-        let mut best: Option<usize> = None;
-        for (i, s) in self.slots.iter().enumerate() {
-            if let Slot::Ready(t, _) = s {
-                if best.is_none_or(|b| match &self.slots[b] {
-                    Slot::Ready(bt, _) => t < bt,
-                    _ => true,
-                }) {
-                    best = Some(i);
-                }
-            }
-        }
-        let i = best?;
+        let i = self
+            .slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, s)| match s {
+                Slot::Ready(t, _) => Some((*t, i)),
+                _ => None,
+            })
+            .min()?
+            .1;
         match std::mem::replace(&mut self.slots[i], Slot::Free) {
             Slot::Ready(t, buf) => {
                 self.in_flight -= 1;
@@ -213,8 +174,8 @@ impl Window {
     }
 
     /// Take the response for `token` if it arrived; `Ok(None)` while it is
-    /// still in flight; an error if the token is unknown (never submitted,
-    /// already taken, or overwritten by a later window lap).
+    /// still in flight; an error if the token is unknown (never submitted
+    /// or already taken).
     fn try_take(&mut self, token: Token) -> Result<Option<PoolBuf>> {
         for slot in 0..self.slots.len() {
             match &self.slots[slot] {
@@ -231,7 +192,7 @@ impl Window {
                 _ => {}
             }
         }
-        Err(hat_rdma_sim::RdmaError::InvalidWorkRequest(format!(
+        Err(RdmaError::InvalidWorkRequest(format!(
             "token {token} is not in flight on this channel"
         )))
     }
@@ -276,773 +237,314 @@ fn note_submit(ep: &Endpoint, in_flight: usize) {
 /// Reject payloads that exceed the per-slot capacity.
 fn check_len(len: usize, max_msg: usize) -> Result<()> {
     if len > max_msg {
-        return Err(hat_rdma_sim::RdmaError::InvalidWorkRequest(format!(
-            "payload of {len} bytes exceeds the pipelined slot ({max_msg} bytes)"
+        return Err(RdmaError::InvalidWorkRequest(format!(
+            "payload of {len} bytes exceeds the channel's {max_msg}-byte slot"
         )));
     }
     Ok(())
 }
 
 // ---------------------------------------------------------------------------
-// Eager-SendRecv, pipelined.
+// The in-band header and the per-kind wires.
 // ---------------------------------------------------------------------------
 
-/// Frame header: 4-byte length + 8-byte token, little endian.
-const EAGER_HDR: usize = 12;
+/// The in-band header every message carries: 4-byte length + 4-byte
+/// window slot, little endian.
+const HDR: usize = 8;
 
-/// Pipelined Eager-SendRecv client: a per-slot send ring (so staged frames
-/// survive until the batched post), a pre-posted receive ring, and SEND
-/// work requests accumulated into one chain per flush.
-pub struct PipelinedEager {
-    ep: Endpoint,
-    cfg: ProtocolConfig,
-    send_ring: MemoryRegion,
-    recv_ring: MemoryRegion,
-    slot_size: usize,
-    win: Window,
-    staged: Vec<SendWr>,
+fn encode_hdr(len: usize, slot: usize) -> [u8; HDR] {
+    let mut hdr = [0u8; HDR];
+    hdr[..4].copy_from_slice(&(len as u32).to_le_bytes());
+    hdr[4..].copy_from_slice(&(slot as u32).to_le_bytes());
+    hdr
 }
 
-impl PipelinedEager {
-    /// Build the client side; the peer must be a [`PipelinedEagerServer`].
-    pub fn client(ep: Endpoint, cfg: ProtocolConfig) -> Result<PipelinedEager> {
+/// Decode a peer's header, bounding its length by `max_msg` before anyone
+/// allocates for it.
+fn decode_hdr(hdr: &[u8; HDR], max_msg: usize) -> Result<(usize, usize)> {
+    let len = u32::from_le_bytes(hdr[..4].try_into().expect("4B")) as usize;
+    let slot = u32::from_le_bytes(hdr[4..].try_into().expect("4B")) as usize;
+    check_len(len, max_msg)?;
+    Ok((len, slot))
+}
+
+/// What one windowed kind puts on the wire. Both ends of a connection
+/// hold the same wire; [`Windowed`] drives it as client or server.
+pub trait Wire: Send {
+    /// Which protocol this wire speaks.
+    fn kind(&self) -> ProtocolKind;
+
+    /// Stage `payload` as the message for window `slot`, pushing the work
+    /// requests that carry it onto `staged` (posted later, batched).
+    fn stage(
+        &mut self,
+        ep: &Endpoint,
+        slot: usize,
+        payload: &[u8],
+        staged: &mut Vec<SendWr>,
+    ) -> Result<()>;
+
+    /// Read the message behind one successful receive completion and
+    /// recycle its receive; returns the message's window slot and payload.
+    fn absorb(&mut self, ep: &Endpoint, comp: Completion) -> Result<(usize, PoolBuf)>;
+
+    /// Post staged work requests: one chain under one doorbell, unless the
+    /// kind's defining trait is a doorbell per work request.
+    fn post(&self, ep: &Endpoint, staged: &[SendWr]) -> Result<()> {
+        ep.post_send(staged)
+    }
+}
+
+/// Eager-SendRecv (Figure 3a): each message is *copied* into a registered
+/// send-ring slot and shipped with one SEND into the peer's pre-posted
+/// receive ring. The copy on both ends is the cost — cheap for small
+/// messages, prohibitive for large ones.
+pub struct EagerWire {
+    recv_ring: MemoryRegion,
+    send_ring: MemoryRegion,
+    slot_size: usize,
+    window: usize,
+}
+
+impl EagerWire {
+    fn open(ep: &Endpoint, cfg: &ProtocolConfig) -> Result<EagerWire> {
         let window = cfg.ring_slots;
-        let slot_size = EAGER_HDR + cfg.max_msg;
+        let slot_size = HDR + cfg.max_msg;
         let recv_ring = ep.pd().register(window * slot_size)?;
         for i in 0..window {
             ep.post_recv(RecvWr::new(i as u64, recv_ring.clone(), i * slot_size, slot_size))?;
         }
         let send_ring = ep.pd().register(window * slot_size)?;
-        Ok(PipelinedEager {
-            ep,
-            cfg,
-            send_ring,
-            recv_ring,
-            slot_size,
-            win: Window::new(window),
-            staged: Vec::with_capacity(window),
-        })
-    }
-
-    /// Drain every response frame the CQ has ready, without blocking.
-    fn pump(&mut self) -> Result<()> {
-        while let Some(comp) = self.ep.recv_cq().try_poll() {
-            self.absorb(comp)?;
-        }
-        Ok(())
-    }
-
-    /// Read one response frame out of its ring slot and recycle the slot.
-    fn absorb(&mut self, comp: hat_rdma_sim::Completion) -> Result<()> {
-        comp.ok()?;
-        let slot = comp.wr_id as usize % self.win.len();
-        let base = slot * self.slot_size;
-        let mut hdr = [0u8; EAGER_HDR];
-        self.recv_ring.read(base, &mut hdr)?;
-        let len = u32::from_le_bytes(hdr[..4].try_into().expect("4B")) as usize;
-        let token = u64::from_le_bytes(hdr[4..12].try_into().expect("8B"));
-        charge_memcpy(&self.ep, len);
-        let mut buf = PoolBuf::for_overwrite(len);
-        self.recv_ring.read(base + EAGER_HDR, buf.as_mut_slice())?;
-        self.ep.post_recv(RecvWr::new(comp.wr_id, self.recv_ring.clone(), base, self.slot_size))?;
-        self.win.complete(token, buf)
+        Ok(EagerWire { recv_ring, send_ring, slot_size, window })
     }
 }
 
-impl PipelinedClient for PipelinedEager {
-    fn submit(&mut self, request: &[u8]) -> Result<Token> {
-        check_len(request.len(), self.cfg.max_msg)?;
-        // Any free slot: eager frames carry the token in-band both ways,
-        // so nothing on the wire pins a token to `token % window`. An
-        // async caller can refill as soon as it has taken *some* response
-        // even while older responses sit Ready awaiting their owner's
-        // poll.
-        let (token, slot) = self.win.begin_any()?;
-        let base = slot * self.slot_size;
-        charge_memcpy(&self.ep, request.len());
-        self.send_ring.write(base, &(request.len() as u32).to_le_bytes())?;
-        self.send_ring.write(base + 4, &token.to_le_bytes())?;
-        self.send_ring.write(base + EAGER_HDR, request)?;
-        self.staged
-            .push(SendWr::send(token, self.send_ring.slice(base, EAGER_HDR + request.len())));
-        note_submit(&self.ep, self.win.in_flight);
-        Ok(token)
-    }
-
-    fn flush(&mut self) -> Result<()> {
-        if self.staged.is_empty() {
-            return Ok(());
-        }
-        let batch = self.staged.len();
-        self.ep.post_send(&self.staged)?;
-        self.staged.clear();
-        note_doorbell(&self.ep, batch);
-        Ok(())
-    }
-
-    fn try_complete(&mut self) -> Result<Option<(Token, PoolBuf)>> {
-        self.flush()?;
-        if let Some(done) = self.win.take_any() {
-            return Ok(Some(done));
-        }
-        self.pump()?;
-        Ok(self.win.take_any())
-    }
-
-    fn wait(&mut self, token: Token) -> Result<PoolBuf> {
-        self.flush()?;
-        loop {
-            // Drain the whole ready batch before (possibly) blocking: the
-            // peer posts response bursts under one doorbell, and absorbing
-            // them together frees a burst of slots for the caller to refill
-            // under one doorbell of its own.
-            self.pump()?;
-            if let Some(buf) = self.win.try_take(token)? {
-                return Ok(buf);
-            }
-            let comp = poll_recv(&self.ep, self.cfg.poll, self.cfg.op_timeout_ns)?
-                .ok_or(hat_rdma_sim::RdmaError::Disconnected)?;
-            self.absorb(comp)?;
-        }
-    }
-
-    fn try_wait(&mut self, token: Token) -> Result<Option<PoolBuf>> {
-        self.flush()?;
-        self.pump()?;
-        self.win.try_take(token)
-    }
-
-    fn window(&self) -> usize {
-        self.win.len()
-    }
-
-    fn in_flight(&self) -> usize {
-        self.win.in_flight
-    }
-
+impl Wire for EagerWire {
     fn kind(&self) -> ProtocolKind {
         ProtocolKind::EagerSendRecv
     }
+
+    fn stage(
+        &mut self,
+        ep: &Endpoint,
+        slot: usize,
+        payload: &[u8],
+        staged: &mut Vec<SendWr>,
+    ) -> Result<()> {
+        let base = slot * self.slot_size;
+        charge_memcpy(ep, payload.len());
+        self.send_ring.write(base, &encode_hdr(payload.len(), slot))?;
+        self.send_ring.write(base + HDR, payload)?;
+        staged.push(SendWr::send(slot as u64, self.send_ring.slice(base, HDR + payload.len())));
+        Ok(())
+    }
+
+    fn absorb(&mut self, ep: &Endpoint, comp: Completion) -> Result<(usize, PoolBuf)> {
+        let base = (comp.wr_id as usize % self.window) * self.slot_size;
+        let mut hdr = [0u8; HDR];
+        self.recv_ring.read(base, &mut hdr)?;
+        let (len, slot) = decode_hdr(&hdr, self.slot_size - HDR)?;
+        // The receiver copies the payload out of the ring slot before
+        // recycling it — the second half of Eager's copy cost.
+        charge_memcpy(ep, len);
+        let mut buf = PoolBuf::for_overwrite(len);
+        self.recv_ring.read(base + HDR, buf.as_mut_slice())?;
+        ep.post_recv(RecvWr::new(comp.wr_id, self.recv_ring.clone(), base, self.slot_size))?;
+        Ok((slot, buf))
+    }
 }
 
-/// Server peer for [`PipelinedEager`]: like the synchronous Eager server,
-/// but frames carry a token that is echoed back with each response, and
-/// the serve loop drains request *bursts* — every response for a drained
-/// burst is staged into its own send-ring slot and the whole batch rides
-/// one doorbell (mirroring the client's batched submit path).
-pub struct PipelinedEagerServer {
-    ep: Endpoint,
-    cfg: ProtocolConfig,
-    recv_ring: MemoryRegion,
-    send_ring: MemoryRegion,
+/// Register the per-slot landing and staging stripes of a direct-write
+/// wire and swap landing-stripe advertisements with the peer. Runs before
+/// any receive is posted: receive queues are FIFO, so the handshake blob
+/// must not race with ring receives.
+fn direct_write_setup(
+    ep: &Endpoint,
+    stripes: usize,
+) -> Result<(MemoryRegion, MemoryRegion, RemoteBuf)> {
+    let in_ring = ep.pd().register(stripes)?;
+    let out_stage = ep.pd().register(stripes)?;
+    let peer_blob = crate::common::exchange_blobs(ep, &in_ring.remote_buf(0, stripes).encode())?;
+    Ok((in_ring, out_stage, RemoteBuf::decode(&peer_blob)?))
+}
+
+/// The WRITE-plus-SEND-notify members of the direct-write family. Each
+/// window slot owns a stripe of the peer's *pre-known, pre-registered*
+/// buffer; a message is a zero-copy WRITE into that stripe plus an inline
+/// SEND notify carrying the header.
+///
+/// * Chained-Write-Send (Figure 3c) posts the WRITE and the SEND as one
+///   chain: **one doorbell**, saving a PCIe MMIO (HERD's trick).
+/// * Direct-Write-Send (Figure 3b) posts them separately: **two
+///   doorbells** per message.
+///
+/// The shared drawback (paper §4.3): the pre-known buffer is pinned per
+/// connection and sized for the largest message, which is exactly what
+/// the `res_util` hint steers away from.
+pub struct ChainedWriteWire {
+    in_ring: MemoryRegion,
+    out_stage: MemoryRegion,
+    peer_ring: RemoteBuf,
+    notify: CtrlRing,
+    max_msg: usize,
+    separate_doorbells: bool,
+}
+
+impl ChainedWriteWire {
+    fn open(
+        ep: &Endpoint,
+        cfg: &ProtocolConfig,
+        separate_doorbells: bool,
+    ) -> Result<ChainedWriteWire> {
+        let (in_ring, out_stage, peer_ring) = direct_write_setup(ep, cfg.ring_slots * cfg.max_msg)?;
+        let notify = CtrlRing::new(ep, cfg.ring_slots, HDR, cfg.op_timeout_ns)?;
+        Ok(ChainedWriteWire {
+            in_ring,
+            out_stage,
+            peer_ring,
+            notify,
+            max_msg: cfg.max_msg,
+            separate_doorbells,
+        })
+    }
+}
+
+impl Wire for ChainedWriteWire {
+    fn kind(&self) -> ProtocolKind {
+        if self.separate_doorbells {
+            ProtocolKind::DirectWriteSend
+        } else {
+            ProtocolKind::ChainedWriteSend
+        }
+    }
+
+    fn stage(
+        &mut self,
+        _ep: &Endpoint,
+        slot: usize,
+        payload: &[u8],
+        staged: &mut Vec<SendWr>,
+    ) -> Result<()> {
+        let base = slot * self.max_msg;
+        // Serialize straight into the registered stripe: no memcpy is
+        // charged, unlike Eager.
+        self.out_stage.write(base, payload)?;
+        let dst = self.peer_ring.sub(base as u64, payload.len() as u64);
+        staged.push(SendWr::write(slot as u64, self.out_stage.slice(base, payload.len()), dst));
+        staged.push(SendWr::send_inline(slot as u64, &encode_hdr(payload.len(), slot)));
+        Ok(())
+    }
+
+    fn absorb(&mut self, _ep: &Endpoint, comp: Completion) -> Result<(usize, PoolBuf)> {
+        let mut hdr = [0u8; HDR];
+        self.notify.read_exact(comp, &mut hdr)?;
+        let (len, slot) = decode_hdr(&hdr, self.max_msg)?;
+        let mut buf = PoolBuf::for_overwrite(len);
+        self.in_ring.read(slot * self.max_msg, buf.as_mut_slice())?;
+        Ok((slot, buf))
+    }
+
+    fn post(&self, ep: &Endpoint, staged: &[SendWr]) -> Result<()> {
+        if !self.separate_doorbells {
+            return ep.post_send(staged);
+        }
+        for wr in staged {
+            ep.post_send(std::slice::from_ref(wr))?;
+        }
+        Ok(())
+    }
+}
+
+/// Direct-WriteIMM (Figure 3f): one WRITE_WITH_IMM per message into the
+/// peer's per-slot stripe, the immediate naming the slot and an in-stripe
+/// header giving the length — **one work request**, the fastest
+/// small-message path in the paper's Figure 4.
+pub struct WriteImmWire {
+    in_ring: MemoryRegion,
+    out_stage: MemoryRegion,
+    peer_ring: RemoteBuf,
+    /// Zero-length receive backing for WRITE_WITH_IMM completions.
+    imm_recv: MemoryRegion,
     slot_size: usize,
-    /// Reusable response-staging scratch for reactor drains, so a driver
-    /// multiplexing thousands of connections allocates nothing per resume.
-    drain_staged: Vec<SendWr>,
 }
 
-impl PipelinedEagerServer {
-    /// Build the server side.
-    pub fn server(ep: Endpoint, cfg: ProtocolConfig) -> Result<PipelinedEagerServer> {
-        let slot_size = EAGER_HDR + cfg.max_msg;
-        let recv_ring = ep.pd().register(cfg.ring_slots * slot_size)?;
+impl WriteImmWire {
+    fn open(ep: &Endpoint, cfg: &ProtocolConfig) -> Result<WriteImmWire> {
+        let slot_size = HDR + cfg.max_msg;
+        let (in_ring, out_stage, peer_ring) = direct_write_setup(ep, cfg.ring_slots * slot_size)?;
+        let imm_recv = ep.pd().register(1)?;
         for i in 0..cfg.ring_slots {
-            ep.post_recv(RecvWr::new(i as u64, recv_ring.clone(), i * slot_size, slot_size))?;
+            ep.post_recv(RecvWr::new(i as u64, imm_recv.clone(), 0, 0))?;
         }
-        // One response slot per receive slot. The NIC snapshots the
-        // response at post time, so restaging slot `i` when a new request
-        // occupies recv slot `i` cannot corrupt an in-flight response.
-        let send_ring = ep.pd().register(cfg.ring_slots * slot_size)?;
-        let drain_staged = Vec::with_capacity(cfg.ring_slots);
-        Ok(PipelinedEagerServer { ep, cfg, recv_ring, send_ring, slot_size, drain_staged })
-    }
-
-    /// Handle the request in `comp`'s ring slot, staging (not posting) the
-    /// response SEND.
-    fn stage_response(
-        &mut self,
-        comp: hat_rdma_sim::Completion,
-        handler: &mut dyn FnMut(&[u8]) -> Vec<u8>,
-        staged: &mut Vec<SendWr>,
-    ) -> Result<()> {
-        comp.ok()?;
-        let slot = comp.wr_id as usize % self.cfg.ring_slots;
-        let base = slot * self.slot_size;
-        let mut hdr = [0u8; EAGER_HDR];
-        self.recv_ring.read(base, &mut hdr)?;
-        let len = u32::from_le_bytes(hdr[..4].try_into().expect("4B")) as usize;
-        let token = u64::from_le_bytes(hdr[4..12].try_into().expect("8B"));
-        charge_memcpy(&self.ep, len);
-        let request = self.recv_ring.read_vec(base + EAGER_HDR, len)?;
-        self.ep.post_recv(RecvWr::new(comp.wr_id, self.recv_ring.clone(), base, self.slot_size))?;
-
-        let response = handler(&request);
-        check_len(response.len(), self.cfg.max_msg)?;
-        charge_memcpy(&self.ep, response.len());
-        self.send_ring.write(base, &(response.len() as u32).to_le_bytes())?;
-        self.send_ring.write(base + 4, &token.to_le_bytes())?;
-        self.send_ring.write(base + EAGER_HDR, &response)?;
-        staged.push(SendWr::send(token, self.send_ring.slice(base, EAGER_HDR + response.len())));
-        Ok(())
+        Ok(WriteImmWire { in_ring, out_stage, peer_ring, imm_recv, slot_size })
     }
 }
 
-impl RpcServer for PipelinedEagerServer {
-    fn serve_one(&mut self, handler: &mut dyn FnMut(&[u8]) -> Vec<u8>) -> Result<bool> {
-        let Some(comp) = poll_recv(&self.ep, self.cfg.poll, self.cfg.op_timeout_ns)? else {
-            return Ok(false);
-        };
-        let mut staged = Vec::with_capacity(1);
-        self.stage_response(comp, handler, &mut staged)?;
-        self.ep.post_send(&staged)?;
-        Ok(true)
-    }
-
-    fn serve_loop(&mut self, handler: &mut dyn FnMut(&[u8]) -> Vec<u8>) -> Result<()> {
-        let mut staged = Vec::with_capacity(self.cfg.ring_slots);
-        loop {
-            // Block for the head of a burst, then drain without blocking.
-            let Some(first) = poll_recv(&self.ep, self.cfg.poll, self.cfg.op_timeout_ns)? else {
-                return Ok(());
-            };
-            staged.clear();
-            self.stage_response(first, handler, &mut staged)?;
-            while staged.len() < self.cfg.ring_slots {
-                let Some(comp) = self.ep.recv_cq().try_poll() else { break };
-                self.stage_response(comp, handler, &mut staged)?;
-            }
-            // The whole burst's responses ride one doorbell.
-            note_burst(&self.ep, staged.len());
-            self.ep.post_send(&staged)?;
-            note_doorbell(&self.ep, staged.len());
-        }
-    }
-
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::EagerSendRecv
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Chained-Write-Send, pipelined.
-// ---------------------------------------------------------------------------
-
-/// Notify message: 4-byte length + 8-byte token.
-const NOTIFY_LEN: usize = 12;
-
-fn encode_notify(len: usize, token: Token) -> [u8; NOTIFY_LEN] {
-    let mut msg = [0u8; NOTIFY_LEN];
-    msg[..4].copy_from_slice(&(len as u32).to_le_bytes());
-    msg[4..].copy_from_slice(&token.to_le_bytes());
-    msg
-}
-
-fn decode_notify(msg: &[u8]) -> Result<(usize, Token)> {
-    if msg.len() < NOTIFY_LEN {
-        return Err(hat_rdma_sim::RdmaError::InvalidWorkRequest(format!(
-            "pipelined notify of {} bytes is too short",
-            msg.len()
-        )));
-    }
-    let len = u32::from_le_bytes(msg[..4].try_into().expect("4B")) as usize;
-    let token = u64::from_le_bytes(msg[4..NOTIFY_LEN].try_into().expect("8B"));
-    Ok((len, token))
-}
-
-/// Pipelined Chained-Write-Send client: each window slot owns a stripe of
-/// the peer's pre-known ring; a submit stages a WRITE into that stripe plus
-/// a chained inline SEND notify, and a flush posts the whole
-/// `(WRITE, SEND)*` chain under one doorbell.
-pub struct PipelinedChainedWrite {
-    ep: Endpoint,
-    cfg: ProtocolConfig,
-    /// Per-slot landing stripes the peer WRITEs responses into.
-    in_ring: MemoryRegion,
-    /// Per-slot staging stripes outbound WRITEs are issued from.
-    out_stage: MemoryRegion,
-    /// The peer's advertised in-ring.
-    peer_ring: RemoteBuf,
-    ctrl: CtrlRing,
-    win: Window,
-    staged: Vec<SendWr>,
-}
-
-impl PipelinedChainedWrite {
-    /// Build the client side (handshakes with the concurrently constructed
-    /// [`PipelinedChainedWriteServer`]).
-    pub fn client(ep: Endpoint, cfg: ProtocolConfig) -> Result<PipelinedChainedWrite> {
-        let (in_ring, out_stage, peer_ring, ctrl) = chained_setup(&ep, &cfg)?;
-        let window = cfg.ring_slots;
-        Ok(PipelinedChainedWrite {
-            ep,
-            cfg,
-            in_ring,
-            out_stage,
-            peer_ring,
-            ctrl,
-            win: Window::new(window),
-            staged: Vec::with_capacity(2 * window),
-        })
-    }
-
-    fn absorb(&mut self, msg: &[u8]) -> Result<()> {
-        let (len, token) = decode_notify(msg)?;
-        let base = self.win.slot_of(token) * self.cfg.max_msg;
-        let mut buf = PoolBuf::for_overwrite(len);
-        self.in_ring.read(base, buf.as_mut_slice())?;
-        self.win.complete(token, buf)
-    }
-}
-
-/// Shared geometry for both sides of a pipelined chained-write channel:
-/// register the per-slot in-ring and staging stripes, exchange ring
-/// advertisements (before any control recv is posted — receive queues are
-/// FIFO), and build the notify ring.
-type ChainedSetup = (MemoryRegion, MemoryRegion, RemoteBuf, CtrlRing);
-
-fn chained_setup(ep: &Endpoint, cfg: &ProtocolConfig) -> Result<ChainedSetup> {
-    let window = cfg.ring_slots;
-    let in_ring = ep.pd().register(window * cfg.max_msg)?;
-    let out_stage = ep.pd().register(window * cfg.max_msg)?;
-    let blob = in_ring.remote_buf(0, window * cfg.max_msg).encode();
-    let peer_blob = crate::common::exchange_blobs(ep, &blob)?;
-    let peer_ring = RemoteBuf::decode(&peer_blob)?;
-    let ctrl = CtrlRing::new(ep, window, 16, cfg.op_timeout_ns)?;
-    Ok((in_ring, out_stage, peer_ring, ctrl))
-}
-
-impl PipelinedClient for PipelinedChainedWrite {
-    fn submit(&mut self, request: &[u8]) -> Result<Token> {
-        check_len(request.len(), self.cfg.max_msg)?;
-        let (token, slot) = self.win.begin()?;
-        let base = slot * self.cfg.max_msg;
-        // Zero-copy staging, as in the synchronous variant: no memcpy is
-        // charged for writing into the registered stripe.
-        self.out_stage.write(base, request)?;
-        let dst = self.peer_ring.sub(base as u64, request.len() as u64);
-        self.staged.push(SendWr::write(token, self.out_stage.slice(base, request.len()), dst));
-        self.staged.push(SendWr::send_inline(token, &encode_notify(request.len(), token)));
-        note_submit(&self.ep, self.win.in_flight);
-        Ok(token)
-    }
-
-    fn flush(&mut self) -> Result<()> {
-        if self.staged.is_empty() {
-            return Ok(());
-        }
-        let batch = self.staged.len();
-        self.ep.post_send(&self.staged)?;
-        self.staged.clear();
-        note_doorbell(&self.ep, batch);
-        Ok(())
-    }
-
-    fn try_complete(&mut self) -> Result<Option<(Token, PoolBuf)>> {
-        self.flush()?;
-        if let Some(done) = self.win.take_any() {
-            return Ok(Some(done));
-        }
-        while let Some(msg) = self.ctrl.try_recv()? {
-            self.absorb(&msg)?;
-        }
-        Ok(self.win.take_any())
-    }
-
-    fn wait(&mut self, token: Token) -> Result<PoolBuf> {
-        self.flush()?;
-        loop {
-            // Drain ready notifications before blocking so a batch of
-            // responses frees a batch of slots at once.
-            while let Some(msg) = self.ctrl.try_recv()? {
-                self.absorb(&msg)?;
-            }
-            if let Some(buf) = self.win.try_take(token)? {
-                return Ok(buf);
-            }
-            let msg =
-                self.ctrl.recv(self.cfg.poll)?.ok_or(hat_rdma_sim::RdmaError::Disconnected)?;
-            self.absorb(&msg)?;
-        }
-    }
-
-    fn try_wait(&mut self, token: Token) -> Result<Option<PoolBuf>> {
-        self.flush()?;
-        while let Some(msg) = self.ctrl.try_recv()? {
-            self.absorb(&msg)?;
-        }
-        self.win.try_take(token)
-    }
-
-    fn window(&self) -> usize {
-        self.win.len()
-    }
-
-    fn in_flight(&self) -> usize {
-        self.win.in_flight
-    }
-
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::ChainedWriteSend
-    }
-}
-
-/// Server peer for [`PipelinedChainedWrite`]: requests land in per-slot
-/// stripes of the pre-known ring; responses are WRITE + chained SEND with
-/// the request's token, one doorbell per response.
-pub struct PipelinedChainedWriteServer {
-    ep: Endpoint,
-    cfg: ProtocolConfig,
-    in_ring: MemoryRegion,
-    out_stage: MemoryRegion,
-    peer_ring: RemoteBuf,
-    ctrl: CtrlRing,
-}
-
-impl PipelinedChainedWriteServer {
-    /// Build the server side.
-    pub fn server(ep: Endpoint, cfg: ProtocolConfig) -> Result<PipelinedChainedWriteServer> {
-        let (in_ring, out_stage, peer_ring, ctrl) = chained_setup(&ep, &cfg)?;
-        Ok(PipelinedChainedWriteServer { ep, cfg, in_ring, out_stage, peer_ring, ctrl })
-    }
-
-    /// Serve the request a received notify describes: read it out of its
-    /// in-ring stripe, run the handler, and post the WRITE + chained SEND
-    /// response pair.
-    fn respond(&mut self, msg: &[u8], handler: &mut dyn FnMut(&[u8]) -> Vec<u8>) -> Result<()> {
-        let (len, token) = decode_notify(msg)?;
-        let slot = token as usize % self.cfg.ring_slots;
-        let base = slot * self.cfg.max_msg;
-        let request = self.in_ring.read_vec(base, len)?;
-
-        let response = handler(&request);
-        check_len(response.len(), self.cfg.max_msg)?;
-        self.out_stage.write(base, &response)?;
-        let dst = self.peer_ring.sub(base as u64, response.len() as u64);
-        self.ep.post_send(&[
-            SendWr::write(token, self.out_stage.slice(base, response.len()), dst),
-            SendWr::send_inline(token, &encode_notify(response.len(), token)),
-        ])
-    }
-}
-
-impl RpcServer for PipelinedChainedWriteServer {
-    fn serve_one(&mut self, handler: &mut dyn FnMut(&[u8]) -> Vec<u8>) -> Result<bool> {
-        let Some(msg) = self.ctrl.recv(self.cfg.poll)? else { return Ok(false) };
-        self.respond(&msg, handler)?;
-        Ok(true)
-    }
-
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::ChainedWriteSend
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Direct-WriteIMM, pipelined.
-// ---------------------------------------------------------------------------
-
-/// In-slot header for the IMM variant: 4-byte length + 8-byte token. The
-/// immediate only carries the slot index; the header disambiguates which
-/// token currently occupies the slot.
-const IMM_HDR: usize = 12;
-
-/// Pipelined Direct-WriteIMM: one WRITE_WITH_IMM per message (imm = window
-/// slot), per-slot stripes on both sides, batched under one doorbell per
-/// flush. The fastest pipelined small-message path, matching Figure 4.
-pub struct PipelinedWriteImm {
-    ep: Endpoint,
-    cfg: ProtocolConfig,
-    in_ring: MemoryRegion,
-    out_stage: MemoryRegion,
-    peer_ring: RemoteBuf,
-    imm_dummy: MemoryRegion,
-    slot_size: usize,
-    win: Window,
-    staged: Vec<SendWr>,
-}
-
-/// Register the stripes, exchange ring advertisements, and pre-post the
-/// zero-length receives WRITE_WITH_IMM completions consume.
-type ImmSetup = (MemoryRegion, MemoryRegion, RemoteBuf, MemoryRegion);
-
-fn imm_setup(ep: &Endpoint, cfg: &ProtocolConfig, slot_size: usize) -> Result<ImmSetup> {
-    let window = cfg.ring_slots;
-    let in_ring = ep.pd().register(window * slot_size)?;
-    let out_stage = ep.pd().register(window * slot_size)?;
-    let blob = in_ring.remote_buf(0, window * slot_size).encode();
-    let peer_blob = crate::common::exchange_blobs(ep, &blob)?;
-    let peer_ring = RemoteBuf::decode(&peer_blob)?;
-    let dummy = ep.pd().register(1)?;
-    for i in 0..window {
-        ep.post_recv(RecvWr::new(i as u64, dummy.clone(), 0, 0))?;
-    }
-    Ok((in_ring, out_stage, peer_ring, dummy))
-}
-
-impl PipelinedWriteImm {
-    /// Build the client side.
-    pub fn client(ep: Endpoint, cfg: ProtocolConfig) -> Result<PipelinedWriteImm> {
-        let slot_size = IMM_HDR + cfg.max_msg;
-        let (in_ring, out_stage, peer_ring, imm_dummy) = imm_setup(&ep, &cfg, slot_size)?;
-        let window = cfg.ring_slots;
-        Ok(PipelinedWriteImm {
-            ep,
-            cfg,
-            in_ring,
-            out_stage,
-            peer_ring,
-            imm_dummy,
-            slot_size,
-            win: Window::new(window),
-            staged: Vec::with_capacity(window),
-        })
-    }
-
-    fn pump(&mut self) -> Result<()> {
-        while let Some(comp) = self.ep.recv_cq().try_poll() {
-            self.absorb(comp)?;
-        }
-        Ok(())
-    }
-
-    fn absorb(&mut self, comp: hat_rdma_sim::Completion) -> Result<()> {
-        comp.ok()?;
-        let slot = comp.imm.expect("WRITE_WITH_IMM carries the slot index") as usize;
-        let base = slot * self.slot_size;
-        let mut hdr = [0u8; IMM_HDR];
-        self.in_ring.read(base, &mut hdr)?;
-        let len = u32::from_le_bytes(hdr[..4].try_into().expect("4B")) as usize;
-        let token = u64::from_le_bytes(hdr[4..12].try_into().expect("8B"));
-        let mut buf = PoolBuf::for_overwrite(len);
-        self.in_ring.read(base + IMM_HDR, buf.as_mut_slice())?;
-        self.ep.post_recv(RecvWr::new(comp.wr_id, self.imm_dummy.clone(), 0, 0))?;
-        self.win.complete(token, buf)
-    }
-}
-
-impl PipelinedClient for PipelinedWriteImm {
-    fn submit(&mut self, request: &[u8]) -> Result<Token> {
-        check_len(request.len(), self.cfg.max_msg)?;
-        let (token, slot) = self.win.begin()?;
-        let base = slot * self.slot_size;
-        self.out_stage.write(base, &(request.len() as u32).to_le_bytes())?;
-        self.out_stage.write(base + 4, &token.to_le_bytes())?;
-        self.out_stage.write(base + IMM_HDR, request)?;
-        let total = IMM_HDR + request.len();
-        self.staged.push(SendWr::write_imm(
-            token,
-            self.out_stage.slice(base, total),
-            self.peer_ring.sub(base as u64, total as u64),
-            slot as u32,
-        ));
-        note_submit(&self.ep, self.win.in_flight);
-        Ok(token)
-    }
-
-    fn flush(&mut self) -> Result<()> {
-        if self.staged.is_empty() {
-            return Ok(());
-        }
-        let batch = self.staged.len();
-        self.ep.post_send(&self.staged)?;
-        self.staged.clear();
-        note_doorbell(&self.ep, batch);
-        Ok(())
-    }
-
-    fn try_complete(&mut self) -> Result<Option<(Token, PoolBuf)>> {
-        self.flush()?;
-        if let Some(done) = self.win.take_any() {
-            return Ok(Some(done));
-        }
-        self.pump()?;
-        Ok(self.win.take_any())
-    }
-
-    fn wait(&mut self, token: Token) -> Result<PoolBuf> {
-        self.flush()?;
-        loop {
-            // Drain the whole ready batch before (possibly) blocking: the
-            // peer posts response bursts under one doorbell, and absorbing
-            // them together frees a burst of slots for the caller to refill
-            // under one doorbell of its own.
-            self.pump()?;
-            if let Some(buf) = self.win.try_take(token)? {
-                return Ok(buf);
-            }
-            let comp = poll_recv(&self.ep, self.cfg.poll, self.cfg.op_timeout_ns)?
-                .ok_or(hat_rdma_sim::RdmaError::Disconnected)?;
-            self.absorb(comp)?;
-        }
-    }
-
-    fn try_wait(&mut self, token: Token) -> Result<Option<PoolBuf>> {
-        self.flush()?;
-        self.pump()?;
-        self.win.try_take(token)
-    }
-
-    fn window(&self) -> usize {
-        self.win.len()
-    }
-
-    fn in_flight(&self) -> usize {
-        self.win.in_flight
-    }
-
+impl Wire for WriteImmWire {
     fn kind(&self) -> ProtocolKind {
         ProtocolKind::DirectWriteImm
     }
-}
 
-/// Server peer for [`PipelinedWriteImm`].
-pub struct PipelinedWriteImmServer {
-    ep: Endpoint,
-    cfg: ProtocolConfig,
-    in_ring: MemoryRegion,
-    out_stage: MemoryRegion,
-    peer_ring: RemoteBuf,
-    imm_dummy: MemoryRegion,
-    slot_size: usize,
-    /// Reusable response-staging scratch for reactor drains.
-    drain_staged: Vec<SendWr>,
-}
-
-impl PipelinedWriteImmServer {
-    /// Build the server side.
-    pub fn server(ep: Endpoint, cfg: ProtocolConfig) -> Result<PipelinedWriteImmServer> {
-        let slot_size = IMM_HDR + cfg.max_msg;
-        let (in_ring, out_stage, peer_ring, imm_dummy) = imm_setup(&ep, &cfg, slot_size)?;
-        let drain_staged = Vec::with_capacity(cfg.ring_slots);
-        Ok(PipelinedWriteImmServer {
-            ep,
-            cfg,
-            in_ring,
-            out_stage,
-            peer_ring,
-            imm_dummy,
-            slot_size,
-            drain_staged,
-        })
-    }
-
-    /// Handle the request in `comp`'s ring slot, staging (not posting) the
-    /// response WRITE_WITH_IMM.
-    fn stage_response(
+    fn stage(
         &mut self,
-        comp: hat_rdma_sim::Completion,
-        handler: &mut dyn FnMut(&[u8]) -> Vec<u8>,
+        _ep: &Endpoint,
+        slot: usize,
+        payload: &[u8],
         staged: &mut Vec<SendWr>,
     ) -> Result<()> {
-        comp.ok()?;
-        let slot = comp.imm.expect("WRITE_WITH_IMM carries the slot index") as usize;
         let base = slot * self.slot_size;
-        let mut hdr = [0u8; IMM_HDR];
-        self.in_ring.read(base, &mut hdr)?;
-        let len = u32::from_le_bytes(hdr[..4].try_into().expect("4B")) as usize;
-        let token = u64::from_le_bytes(hdr[4..12].try_into().expect("8B"));
-        let request = self.in_ring.read_vec(base + IMM_HDR, len)?;
-        self.ep.post_recv(RecvWr::new(comp.wr_id, self.imm_dummy.clone(), 0, 0))?;
-
-        let response = handler(&request);
-        check_len(response.len(), self.cfg.max_msg)?;
-        self.out_stage.write(base, &(response.len() as u32).to_le_bytes())?;
-        self.out_stage.write(base + 4, &token.to_le_bytes())?;
-        self.out_stage.write(base + IMM_HDR, &response)?;
-        let total = IMM_HDR + response.len();
+        self.out_stage.write(base, &encode_hdr(payload.len(), slot))?;
+        self.out_stage.write(base + HDR, payload)?;
+        let total = HDR + payload.len();
         staged.push(SendWr::write_imm(
-            token,
+            slot as u64,
             self.out_stage.slice(base, total),
             self.peer_ring.sub(base as u64, total as u64),
             slot as u32,
         ));
         Ok(())
     }
-}
 
-impl RpcServer for PipelinedWriteImmServer {
-    fn serve_one(&mut self, handler: &mut dyn FnMut(&[u8]) -> Vec<u8>) -> Result<bool> {
-        let Some(comp) = poll_recv(&self.ep, self.cfg.poll, self.cfg.op_timeout_ns)? else {
-            return Ok(false);
-        };
-        let mut staged = Vec::with_capacity(1);
-        self.stage_response(comp, handler, &mut staged)?;
-        self.ep.post_send(&staged)?;
-        Ok(true)
-    }
-
-    fn serve_loop(&mut self, handler: &mut dyn FnMut(&[u8]) -> Vec<u8>) -> Result<()> {
-        let mut staged = Vec::with_capacity(self.cfg.ring_slots);
-        loop {
-            let Some(first) = poll_recv(&self.ep, self.cfg.poll, self.cfg.op_timeout_ns)? else {
-                return Ok(());
-            };
-            staged.clear();
-            self.stage_response(first, handler, &mut staged)?;
-            while staged.len() < self.cfg.ring_slots {
-                let Some(comp) = self.ep.recv_cq().try_poll() else { break };
-                self.stage_response(comp, handler, &mut staged)?;
-            }
-            // The whole burst's responses ride one doorbell.
-            note_burst(&self.ep, staged.len());
-            self.ep.post_send(&staged)?;
-            note_doorbell(&self.ep, staged.len());
-        }
-    }
-
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::DirectWriteImm
+    fn absorb(&mut self, ep: &Endpoint, comp: Completion) -> Result<(usize, PoolBuf)> {
+        let slot = comp.imm.ok_or_else(|| {
+            RdmaError::InvalidWorkRequest("WRITE_WITH_IMM completion carries no slot".into())
+        })? as usize;
+        let base = slot * self.slot_size;
+        let mut hdr = [0u8; HDR];
+        self.in_ring.read(base, &mut hdr)?;
+        let (len, _) = decode_hdr(&hdr, self.slot_size - HDR)?;
+        let mut buf = PoolBuf::for_overwrite(len);
+        self.in_ring.read(base + HDR, buf.as_mut_slice())?;
+        ep.post_recv(RecvWr::new(comp.wr_id, self.imm_recv.clone(), 0, 0))?;
+        Ok((slot, buf))
     }
 }
 
-// ---------------------------------------------------------------------------
-// Hybrid-EagerRNDV, pipelined.
-// ---------------------------------------------------------------------------
-
-/// Frame header: 1-byte tag + 8-byte length + 8-byte token.
-const HY_HDR: usize = 17;
+/// Hybrid frame header: 1-byte tag + the common header.
+const HY_HDR: usize = 1 + HDR;
 const HY_EAGER: u8 = 0;
 const HY_RTS: u8 = 1;
 
-/// Pipelined Hybrid-EagerRNDV: payloads at or below the threshold ride
+/// Hybrid-EagerRNDV (§4.3, the design AR-gRPC ships and the baseline of
+/// the paper's Figures 11–14): payloads at or below the threshold ride
 /// eager frames; larger ones are staged in a per-slot rendezvous stripe
-/// and advertised with an RTS the peer READs from. No FIN messages are
-/// needed: slot reuse is gated on the caller taking the response, by which
-/// point the slot's staging stripe is provably no longer referenced.
-pub struct PipelinedHybrid {
-    ep: Endpoint,
-    cfg: ProtocolConfig,
+/// and advertised with an RTS carrying the stripe's rkey, which the peer
+/// READs. Payloads just above the switch point pay the extra round trip —
+/// visible in the Figure 11 reproduction right after 4 KB. The READ
+/// completing is what releases the stripe, so no FIN is sent.
+pub struct HybridWire {
     ring: MemoryRegion,
     eager_stage: MemoryRegion,
     rndv_stage: MemoryRegion,
     landing: MemoryRegion,
     slot_size: usize,
-    win: Window,
-    staged: Vec<SendWr>,
+    cfg: ProtocolConfig,
 }
 
-/// Frame-slot geometry shared by both sides.
-fn hybrid_slot_size(cfg: &ProtocolConfig) -> usize {
-    HY_HDR + cfg.eager_threshold.max(RemoteBuf::WIRE_SIZE)
-}
-
-fn write_hybrid_hdr(
-    mr: &MemoryRegion,
-    base: usize,
-    tag: u8,
-    len: usize,
-    token: Token,
-) -> Result<()> {
-    mr.write(base, &[tag])?;
-    mr.write(base + 1, &(len as u64).to_le_bytes())?;
-    mr.write(base + 9, &token.to_le_bytes())
-}
-
-impl PipelinedHybrid {
-    /// Build the client side; the peer must be a [`PipelinedHybridServer`].
-    pub fn client(ep: Endpoint, cfg: ProtocolConfig) -> Result<PipelinedHybrid> {
+impl HybridWire {
+    fn open(ep: &Endpoint, cfg: &ProtocolConfig) -> Result<HybridWire> {
         let window = cfg.ring_slots;
-        let slot_size = hybrid_slot_size(&cfg);
+        let slot_size = HY_HDR + cfg.eager_threshold.max(RemoteBuf::WIRE_SIZE);
         let ring = ep.pd().register(window * slot_size)?;
         for i in 0..window {
             ep.post_recv(RecvWr::new(i as u64, ring.clone(), i * slot_size, slot_size))?;
@@ -1050,19 +552,157 @@ impl PipelinedHybrid {
         let eager_stage = ep.pd().register(window * slot_size)?;
         let rndv_stage = ep.pd().register(window * cfg.max_msg)?;
         let landing = ep.pd().register(window * cfg.max_msg)?;
-        Ok(PipelinedHybrid {
+        Ok(HybridWire { ring, eager_stage, rndv_stage, landing, slot_size, cfg: cfg.clone() })
+    }
+
+    fn write_frame(&self, base: usize, tag: u8, len: usize, slot: usize) -> Result<()> {
+        self.eager_stage.write(base, &[tag])?;
+        self.eager_stage.write(base + 1, &encode_hdr(len, slot))
+    }
+}
+
+impl Wire for HybridWire {
+    fn kind(&self) -> ProtocolKind {
+        ProtocolKind::HybridEagerRndv
+    }
+
+    fn stage(
+        &mut self,
+        ep: &Endpoint,
+        slot: usize,
+        payload: &[u8],
+        staged: &mut Vec<SendWr>,
+    ) -> Result<()> {
+        let fbase = slot * self.slot_size;
+        let frame_len = if payload.len() <= self.cfg.eager_threshold {
+            charge_memcpy(ep, payload.len());
+            self.write_frame(fbase, HY_EAGER, payload.len(), slot)?;
+            self.eager_stage.write(fbase + HY_HDR, payload)?;
+            payload.len()
+        } else {
+            // Stage zero-copy in this slot's rendezvous stripe; the peer
+            // READs it before the slot can possibly be reused.
+            let sbase = slot * self.cfg.max_msg;
+            self.rndv_stage.write(sbase, payload)?;
+            let rb = self.rndv_stage.remote_buf(sbase, payload.len());
+            self.write_frame(fbase, HY_RTS, payload.len(), slot)?;
+            self.eager_stage.write(fbase + HY_HDR, &rb.encode())?;
+            RemoteBuf::WIRE_SIZE
+        };
+        staged.push(SendWr::send(slot as u64, self.eager_stage.slice(fbase, HY_HDR + frame_len)));
+        Ok(())
+    }
+
+    fn absorb(&mut self, ep: &Endpoint, comp: Completion) -> Result<(usize, PoolBuf)> {
+        let base = (comp.wr_id as usize % self.cfg.ring_slots) * self.slot_size;
+        let mut frame = [0u8; HY_HDR];
+        self.ring.read(base, &mut frame)?;
+        let (len, slot) = decode_hdr(frame[1..].try_into().expect("HDR bytes"), self.cfg.max_msg)?;
+        let recycle = RecvWr::new(comp.wr_id, self.ring.clone(), base, self.slot_size);
+        match frame[0] {
+            HY_EAGER => {
+                charge_memcpy(ep, len);
+                let mut buf = PoolBuf::for_overwrite(len);
+                self.ring.read(base + HY_HDR, buf.as_mut_slice())?;
+                ep.post_recv(recycle)?;
+                Ok((slot, buf))
+            }
+            HY_RTS => {
+                let mut enc = [0u8; RemoteBuf::WIRE_SIZE];
+                self.ring.read(base + HY_HDR, &mut enc)?;
+                ep.post_recv(recycle)?;
+                let src = RemoteBuf::decode(&enc)?;
+                // READ the advertised payload into this slot's landing
+                // stripe. Bounded by the op timeout, so a reactor drain
+                // is slow here but never parks unboundedly.
+                let dbase = slot * self.cfg.max_msg;
+                ep.post_send(&[SendWr::read(
+                    slot as u64,
+                    self.landing.slice(dbase, len),
+                    src.sub(0, len as u64),
+                )
+                .signaled()])?;
+                ep.send_cq().poll_timeout(self.cfg.poll, self.cfg.op_timeout_ns)?.ok()?;
+                let mut buf = PoolBuf::for_overwrite(len);
+                self.landing.read(dbase, buf.as_mut_slice())?;
+                Ok((slot, buf))
+            }
+            other => {
+                Err(RdmaError::InvalidWorkRequest(format!("unexpected hybrid frame tag {other}")))
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The windowed connection: one type for client, server and reactor.
+// ---------------------------------------------------------------------------
+
+/// A windowed connection over one [`Wire`]. The same type serves as
+/// [`RpcClient`] + [`PipelinedClient`] on the dialing end and as
+/// [`RpcServer`] + [`ReactorServe`] on the accepting end; a server echoes
+/// each request's slot with its response.
+pub struct Windowed<W> {
+    ep: Endpoint,
+    cfg: ProtocolConfig,
+    wire: W,
+    win: Window,
+    staged: Vec<SendWr>,
+}
+
+/// Eager-SendRecv (Figure 3a).
+pub type EagerSendRecv = Windowed<EagerWire>;
+/// Direct-Write-Send (Figure 3b) and Chained-Write-Send (Figure 3c): one
+/// type, differing only in doorbells per message.
+pub type ChainedWriteSend = Windowed<ChainedWriteWire>;
+/// Direct-WriteIMM (Figure 3f).
+pub type DirectWriteImm = Windowed<WriteImmWire>;
+/// Hybrid-EagerRNDV (§4.3).
+pub type HybridEagerRndv = Windowed<HybridWire>;
+
+impl<W: Wire> Windowed<W> {
+    fn open(
+        ep: Endpoint,
+        cfg: ProtocolConfig,
+        wire: impl FnOnce(&Endpoint, &ProtocolConfig) -> Result<W>,
+    ) -> Result<Windowed<W>> {
+        let wire = wire(&ep, &cfg)?;
+        let window = cfg.ring_slots;
+        Ok(Windowed {
             ep,
             cfg,
-            ring,
-            eager_stage,
-            rndv_stage,
-            landing,
-            slot_size,
+            wire,
             win: Window::new(window),
-            staged: Vec::with_capacity(window),
+            staged: Vec::with_capacity(2 * window),
         })
     }
 
+    /// Whether this connection pipelines at all: the batching counters
+    /// and trace events describe windows larger than 1 only.
+    fn pipelining(&self) -> bool {
+        self.win.len() > 1
+    }
+
+    /// Post everything staged under the wire's doorbell rule.
+    fn post_staged(&mut self) -> Result<()> {
+        if self.staged.is_empty() {
+            return Ok(());
+        }
+        self.wire.post(&self.ep, &self.staged)?;
+        if self.pipelining() {
+            note_doorbell(&self.ep, self.staged.len());
+        }
+        self.staged.clear();
+        Ok(())
+    }
+
+    /// Read one arrived response into its window slot.
+    fn absorb(&mut self, comp: Completion) -> Result<()> {
+        let (slot, buf) = self.wire.absorb(&self.ep, comp.ok()?)?;
+        self.win.complete(slot, buf)
+    }
+
+    /// Drain every response the CQ has ready, without blocking.
     fn pump(&mut self) -> Result<()> {
         while let Some(comp) = self.ep.recv_cq().try_poll() {
             self.absorb(comp)?;
@@ -1070,89 +710,54 @@ impl PipelinedHybrid {
         Ok(())
     }
 
-    fn absorb(&mut self, comp: hat_rdma_sim::Completion) -> Result<()> {
-        comp.ok()?;
-        let rslot = comp.wr_id as usize % self.win.len();
-        let base = rslot * self.slot_size;
-        let mut hdr = [0u8; HY_HDR];
-        self.ring.read(base, &mut hdr)?;
-        let tag = hdr[0];
-        let len = u64::from_le_bytes(hdr[1..9].try_into().expect("8B")) as usize;
-        let token = u64::from_le_bytes(hdr[9..17].try_into().expect("8B"));
-        match tag {
-            HY_EAGER => {
-                charge_memcpy(&self.ep, len);
-                let mut buf = PoolBuf::for_overwrite(len);
-                self.ring.read(base + HY_HDR, buf.as_mut_slice())?;
-                self.recycle(comp.wr_id, base)?;
-                self.win.complete(token, buf)
-            }
-            HY_RTS => {
-                let mut enc = [0u8; RemoteBuf::WIRE_SIZE];
-                self.ring.read(base + HY_HDR, &mut enc)?;
-                self.recycle(comp.wr_id, base)?;
-                let src = RemoteBuf::decode(&enc)?;
-                // READ the staged response into this slot's landing stripe.
-                let dbase = self.win.slot_of(token) * self.cfg.max_msg;
-                self.ep.post_send(&[SendWr::read(
-                    token,
-                    self.landing.slice(dbase, len),
-                    src.sub(0, len as u64),
-                )
-                .signaled()])?;
-                self.ep.send_cq().poll_timeout(self.cfg.poll, self.cfg.op_timeout_ns)?.ok()?;
-                let mut buf = PoolBuf::for_overwrite(len);
-                self.landing.read(dbase, buf.as_mut_slice())?;
-                self.win.complete(token, buf)
-            }
-            other => Err(hat_rdma_sim::RdmaError::InvalidWorkRequest(format!(
-                "unexpected pipelined hybrid tag {other}"
-            ))),
-        }
+    /// Serve the request behind one receive completion, staging (not
+    /// posting) its response for the same slot.
+    fn respond(
+        &mut self,
+        comp: Completion,
+        handler: &mut dyn FnMut(&[u8]) -> Vec<u8>,
+    ) -> Result<()> {
+        let (slot, request) = self.wire.absorb(&self.ep, comp.ok()?)?;
+        let response = handler(request.as_slice());
+        check_len(response.len(), self.cfg.max_msg)?;
+        self.wire.stage(&self.ep, slot, &response, &mut self.staged)
     }
 
-    fn recycle(&self, wr_id: u64, base: usize) -> Result<()> {
-        self.ep.post_recv(RecvWr::new(wr_id, self.ring.clone(), base, self.slot_size))
+    /// Serve `first` plus the requests already queued behind it (up to a
+    /// window's worth), and post the whole burst's responses together.
+    fn serve_burst(
+        &mut self,
+        first: Completion,
+        handler: &mut dyn FnMut(&[u8]) -> Vec<u8>,
+    ) -> Result<usize> {
+        self.respond(first, handler)?;
+        let mut served = 1;
+        while served < self.win.len() {
+            let Some(comp) = self.ep.recv_cq().try_poll() else { break };
+            self.respond(comp, handler)?;
+            served += 1;
+        }
+        if self.pipelining() {
+            note_burst(&self.ep, served);
+        }
+        self.post_staged()?;
+        Ok(served)
     }
 }
 
-impl PipelinedClient for PipelinedHybrid {
+impl<W: Wire> PipelinedClient for Windowed<W> {
     fn submit(&mut self, request: &[u8]) -> Result<Token> {
         check_len(request.len(), self.cfg.max_msg)?;
-        let (token, slot) = self.win.begin()?;
-        let fbase = slot * self.slot_size;
-        if request.len() <= self.cfg.eager_threshold {
-            charge_memcpy(&self.ep, request.len());
-            write_hybrid_hdr(&self.eager_stage, fbase, HY_EAGER, request.len(), token)?;
-            self.eager_stage.write(fbase + HY_HDR, request)?;
-            self.staged
-                .push(SendWr::send(token, self.eager_stage.slice(fbase, HY_HDR + request.len())));
-        } else {
-            // Stage zero-copy in this slot's rendezvous stripe; the server
-            // READs it before its response can possibly arrive.
-            let sbase = slot * self.cfg.max_msg;
-            self.rndv_stage.write(sbase, request)?;
-            let rb = self.rndv_stage.remote_buf(sbase, request.len());
-            write_hybrid_hdr(&self.eager_stage, fbase, HY_RTS, request.len(), token)?;
-            self.eager_stage.write(fbase + HY_HDR, &rb.encode())?;
-            self.staged.push(SendWr::send(
-                token,
-                self.eager_stage.slice(fbase, HY_HDR + RemoteBuf::WIRE_SIZE),
-            ));
+        let (token, slot) = self.win.begin_any()?;
+        self.wire.stage(&self.ep, slot, request, &mut self.staged)?;
+        if self.pipelining() {
+            note_submit(&self.ep, self.win.in_flight);
         }
-        note_submit(&self.ep, self.win.in_flight);
         Ok(token)
     }
 
     fn flush(&mut self) -> Result<()> {
-        if self.staged.is_empty() {
-            return Ok(());
-        }
-        let batch = self.staged.len();
-        self.ep.post_send(&self.staged)?;
-        self.staged.clear();
-        note_doorbell(&self.ep, batch);
-        Ok(())
+        self.post_staged()
     }
 
     fn try_complete(&mut self) -> Result<Option<(Token, PoolBuf)>> {
@@ -1176,17 +781,13 @@ impl PipelinedClient for PipelinedHybrid {
                 return Ok(buf);
             }
             let comp = poll_recv(&self.ep, self.cfg.poll, self.cfg.op_timeout_ns)?
-                .ok_or(hat_rdma_sim::RdmaError::Disconnected)?;
+                .ok_or(RdmaError::Disconnected)?;
             self.absorb(comp)?;
         }
     }
 
     fn try_wait(&mut self, token: Token) -> Result<Option<PoolBuf>> {
         self.flush()?;
-        // `pump` absorbs RNDV responses with a nested synchronous READ;
-        // that READ's completion is bounded by the op timeout, so this
-        // stays "non-blocking" in the sense async callers need: it never
-        // parks waiting for the *peer* to produce anything new.
         self.pump()?;
         self.win.try_take(token)
     }
@@ -1200,132 +801,46 @@ impl PipelinedClient for PipelinedHybrid {
     }
 
     fn kind(&self) -> ProtocolKind {
-        ProtocolKind::HybridEagerRndv
+        self.wire.kind()
     }
 }
 
-/// Server peer for [`PipelinedHybrid`].
-pub struct PipelinedHybridServer {
-    ep: Endpoint,
-    cfg: ProtocolConfig,
-    ring: MemoryRegion,
-    eager_stage: MemoryRegion,
-    rndv_stage: MemoryRegion,
-    landing: MemoryRegion,
-    slot_size: usize,
-}
-
-impl PipelinedHybridServer {
-    /// Build the server side.
-    pub fn server(ep: Endpoint, cfg: ProtocolConfig) -> Result<PipelinedHybridServer> {
-        let window = cfg.ring_slots;
-        let slot_size = hybrid_slot_size(&cfg);
-        let ring = ep.pd().register(window * slot_size)?;
-        for i in 0..window {
-            ep.post_recv(RecvWr::new(i as u64, ring.clone(), i * slot_size, slot_size))?;
-        }
-        let eager_stage = ep.pd().register(slot_size)?;
-        let rndv_stage = ep.pd().register(window * cfg.max_msg)?;
-        let landing = ep.pd().register(window * cfg.max_msg)?;
-        Ok(PipelinedHybridServer { ep, cfg, ring, eager_stage, rndv_stage, landing, slot_size })
+impl<W: Wire> RpcClient for Windowed<W> {
+    fn call(&mut self, request: &[u8]) -> Result<Vec<u8>> {
+        let token = self.submit(request)?;
+        Ok(self.wait(token)?.to_vec())
     }
 
-    /// Serve the request behind one receive completion: decode the frame,
-    /// READ the rendezvous payload if advertised, run the handler, and
-    /// post the response (eager or RTS). The single `eager_stage` response
-    /// buffer is reused per response, so each response is posted before
-    /// the next request is decoded — hybrid drains cannot doorbell-batch.
-    fn serve_comp(
-        &mut self,
-        comp: hat_rdma_sim::Completion,
-        handler: &mut dyn FnMut(&[u8]) -> Vec<u8>,
-    ) -> Result<()> {
-        comp.ok()?;
-        let rslot = comp.wr_id as usize % self.cfg.ring_slots;
-        let base = rslot * self.slot_size;
-        let mut hdr = [0u8; HY_HDR];
-        self.ring.read(base, &mut hdr)?;
-        let tag = hdr[0];
-        let len = u64::from_le_bytes(hdr[1..9].try_into().expect("8B")) as usize;
-        let token = u64::from_le_bytes(hdr[9..17].try_into().expect("8B"));
-        let slot = token as usize % self.cfg.ring_slots;
-        let request = match tag {
-            HY_EAGER => {
-                charge_memcpy(&self.ep, len);
-                let data = self.ring.read_vec(base + HY_HDR, len)?;
-                self.ep.post_recv(RecvWr::new(
-                    comp.wr_id,
-                    self.ring.clone(),
-                    base,
-                    self.slot_size,
-                ))?;
-                data
-            }
-            HY_RTS => {
-                let mut enc = [0u8; RemoteBuf::WIRE_SIZE];
-                self.ring.read(base + HY_HDR, &mut enc)?;
-                self.ep.post_recv(RecvWr::new(
-                    comp.wr_id,
-                    self.ring.clone(),
-                    base,
-                    self.slot_size,
-                ))?;
-                let src = RemoteBuf::decode(&enc)?;
-                let dbase = slot * self.cfg.max_msg;
-                self.ep.post_send(&[SendWr::read(
-                    token,
-                    self.landing.slice(dbase, len),
-                    src.sub(0, len as u64),
-                )
-                .signaled()])?;
-                self.ep.send_cq().poll_timeout(self.cfg.poll, self.cfg.op_timeout_ns)?.ok()?;
-                self.landing.read_vec(dbase, len)?
-            }
-            other => {
-                return Err(hat_rdma_sim::RdmaError::InvalidWorkRequest(format!(
-                    "unexpected pipelined hybrid tag {other}"
-                )))
-            }
-        };
+    fn kind(&self) -> ProtocolKind {
+        self.wire.kind()
+    }
 
-        let response = handler(&request);
-        check_len(response.len(), self.cfg.max_msg)?;
-        if response.len() <= self.cfg.eager_threshold {
-            charge_memcpy(&self.ep, response.len());
-            write_hybrid_hdr(&self.eager_stage, 0, HY_EAGER, response.len(), token)?;
-            self.eager_stage.write(HY_HDR, &response)?;
-            self.ep.post_send(&[SendWr::send(
-                token,
-                self.eager_stage.slice(0, HY_HDR + response.len()),
-            )])?;
-        } else {
-            // Stage the response in this slot's stripe and advertise it;
-            // the client's READ acts as the FIN (see module docs).
-            let sbase = slot * self.cfg.max_msg;
-            self.rndv_stage.write(sbase, &response)?;
-            let rb = self.rndv_stage.remote_buf(sbase, response.len());
-            write_hybrid_hdr(&self.eager_stage, 0, HY_RTS, response.len(), token)?;
-            self.eager_stage.write(HY_HDR, &rb.encode())?;
-            self.ep.post_send(&[SendWr::send(
-                token,
-                self.eager_stage.slice(0, HY_HDR + RemoteBuf::WIRE_SIZE),
-            )])?;
-        }
-        Ok(())
+    fn pipelined(&mut self) -> Option<&mut dyn PipelinedClient> {
+        Some(self)
     }
 }
 
-impl RpcServer for PipelinedHybridServer {
+impl<W: Wire> RpcServer for Windowed<W> {
     fn serve_one(&mut self, handler: &mut dyn FnMut(&[u8]) -> Vec<u8>) -> Result<bool> {
         let Some(comp) = poll_recv(&self.ep, self.cfg.poll, self.cfg.op_timeout_ns)? else {
             return Ok(false);
         };
-        self.serve_comp(comp, handler)?;
+        self.respond(comp, handler)?;
+        self.post_staged()?;
         Ok(true)
     }
 
+    fn serve_loop(&mut self, handler: &mut dyn FnMut(&[u8]) -> Vec<u8>) -> Result<()> {
+        // Block for the head of a burst, then drain the rest without
+        // blocking; the burst's responses ride one doorbell.
+        while let Some(first) = poll_recv(&self.ep, self.cfg.poll, self.cfg.op_timeout_ns)? {
+            self.serve_burst(first, handler)?;
+        }
+        Ok(())
+    }
+
     fn kind(&self) -> ProtocolKind {
-        ProtocolKind::HybridEagerRndv
+        self.wire.kind()
     }
 }
 
@@ -1333,7 +848,7 @@ impl RpcServer for PipelinedHybridServer {
 // Reactor-driven serving.
 // ---------------------------------------------------------------------------
 
-/// Server side of a pipelined channel driven by an external reactor
+/// Server side of a windowed channel driven by an external reactor
 /// instead of a dedicated blocking thread.
 ///
 /// [`RpcServer::serve_loop`] owns its thread and parks it inside
@@ -1345,16 +860,16 @@ impl RpcServer for PipelinedHybridServer {
 /// is ready *now* and returns without ever parking, so one driver thread
 /// can resume thousands of connections.
 pub trait ReactorServe: Send {
-    /// Serve every ready request, posting responses (doorbell-batched
-    /// where the protocol's staging memory allows). Returns how many
-    /// requests were served; `Ok(0)` means the CQ had nothing ready.
-    /// An error poisons the connection — the reactor retires it.
+    /// Serve every ready request, posting responses doorbell-batched.
+    /// Returns how many requests were served; `Ok(0)` means the CQ had
+    /// nothing ready. An error poisons the connection — the reactor
+    /// retires it.
     fn drain(&mut self, handler: &mut dyn FnMut(&[u8]) -> Vec<u8>) -> Result<usize>;
 
     /// The CQ this connection's request completions arrive on — the
     /// reactor registers its waker here and uses queue depth /
     /// `next_ready_at` to bound its park and gate shutdown drains.
-    fn cq(&self) -> &hat_rdma_sim::CompletionQueue;
+    fn cq(&self) -> &CompletionQueue;
 
     /// False once the peer disconnected or a node died; the reactor
     /// retires the connection after a final drain.
@@ -1364,32 +879,16 @@ pub trait ReactorServe: Send {
     fn kind(&self) -> ProtocolKind;
 }
 
-impl ReactorServe for PipelinedEagerServer {
+impl<W: Wire> ReactorServe for Windowed<W> {
     fn drain(&mut self, handler: &mut dyn FnMut(&[u8]) -> Vec<u8>) -> Result<usize> {
-        let mut staged = std::mem::take(&mut self.drain_staged);
-        staged.clear();
-        let mut served = 0usize;
-        while let Some(comp) = self.ep.recv_cq().try_poll() {
-            self.stage_response(comp, handler, &mut staged)?;
-            served += 1;
-            if staged.len() == self.cfg.ring_slots {
-                note_burst(&self.ep, staged.len());
-                self.ep.post_send(&staged)?;
-                note_doorbell(&self.ep, staged.len());
-                staged.clear();
-            }
+        let mut served = 0;
+        while let Some(first) = self.ep.recv_cq().try_poll() {
+            served += self.serve_burst(first, handler)?;
         }
-        if !staged.is_empty() {
-            note_burst(&self.ep, staged.len());
-            self.ep.post_send(&staged)?;
-            note_doorbell(&self.ep, staged.len());
-            staged.clear();
-        }
-        self.drain_staged = staged;
         Ok(served)
     }
 
-    fn cq(&self) -> &hat_rdma_sim::CompletionQueue {
+    fn cq(&self) -> &CompletionQueue {
         self.ep.recv_cq()
     }
 
@@ -1398,168 +897,63 @@ impl ReactorServe for PipelinedEagerServer {
     }
 
     fn kind(&self) -> ProtocolKind {
-        ProtocolKind::EagerSendRecv
+        self.wire.kind()
     }
-}
-
-impl ReactorServe for PipelinedWriteImmServer {
-    fn drain(&mut self, handler: &mut dyn FnMut(&[u8]) -> Vec<u8>) -> Result<usize> {
-        let mut staged = std::mem::take(&mut self.drain_staged);
-        staged.clear();
-        let mut served = 0usize;
-        while let Some(comp) = self.ep.recv_cq().try_poll() {
-            self.stage_response(comp, handler, &mut staged)?;
-            served += 1;
-            if staged.len() == self.cfg.ring_slots {
-                note_burst(&self.ep, staged.len());
-                self.ep.post_send(&staged)?;
-                note_doorbell(&self.ep, staged.len());
-                staged.clear();
-            }
-        }
-        if !staged.is_empty() {
-            note_burst(&self.ep, staged.len());
-            self.ep.post_send(&staged)?;
-            note_doorbell(&self.ep, staged.len());
-            staged.clear();
-        }
-        self.drain_staged = staged;
-        Ok(served)
-    }
-
-    fn cq(&self) -> &hat_rdma_sim::CompletionQueue {
-        self.ep.recv_cq()
-    }
-
-    fn is_open(&self) -> bool {
-        self.ep.is_alive()
-    }
-
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::DirectWriteImm
-    }
-}
-
-impl ReactorServe for PipelinedChainedWriteServer {
-    fn drain(&mut self, handler: &mut dyn FnMut(&[u8]) -> Vec<u8>) -> Result<usize> {
-        // Each response is a WRITE + chained SEND pair posted under its
-        // own doorbell (the pair itself is one chain, as in `serve_one`).
-        let mut served = 0usize;
-        while let Some(msg) = self.ctrl.try_recv()? {
-            self.respond(&msg, handler)?;
-            served += 1;
-        }
-        Ok(served)
-    }
-
-    fn cq(&self) -> &hat_rdma_sim::CompletionQueue {
-        // Control-ring notifies arrive as receive completions on the
-        // connection's endpoint.
-        self.ep.recv_cq()
-    }
-
-    fn is_open(&self) -> bool {
-        self.ep.is_alive()
-    }
-
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::ChainedWriteSend
-    }
-}
-
-impl ReactorServe for PipelinedHybridServer {
-    fn drain(&mut self, handler: &mut dyn FnMut(&[u8]) -> Vec<u8>) -> Result<usize> {
-        let mut served = 0usize;
-        while let Some(comp) = self.ep.recv_cq().try_poll() {
-            // A rendezvous request nests a synchronous READ, bounded by
-            // the op timeout — slow, but never an unbounded park.
-            self.serve_comp(comp, handler)?;
-            served += 1;
-        }
-        Ok(served)
-    }
-
-    fn cq(&self) -> &hat_rdma_sim::CompletionQueue {
-        self.ep.recv_cq()
-    }
-
-    fn is_open(&self) -> bool {
-        self.ep.is_alive()
-    }
-
-    fn kind(&self) -> ProtocolKind {
-        ProtocolKind::HybridEagerRndv
-    }
-}
-
-/// Construct the reactor-driven server peer of a pipelined channel of
-/// `kind`. Wire-compatible with [`connect_client_pipelined`] clients —
-/// the client cannot tell whether a thread or a reactor serves it.
-pub fn accept_server_reactor(
-    kind: ProtocolKind,
-    ep: Endpoint,
-    cfg: ProtocolConfig,
-) -> Result<Box<dyn ReactorServe>> {
-    Ok(match kind {
-        ProtocolKind::EagerSendRecv => Box::new(PipelinedEagerServer::server(ep, cfg)?),
-        ProtocolKind::ChainedWriteSend => Box::new(PipelinedChainedWriteServer::server(ep, cfg)?),
-        ProtocolKind::DirectWriteImm => Box::new(PipelinedWriteImmServer::server(ep, cfg)?),
-        ProtocolKind::HybridEagerRndv => Box::new(PipelinedHybridServer::server(ep, cfg)?),
-        other => {
-            return Err(hat_rdma_sim::RdmaError::InvalidWorkRequest(format!(
-                "{other} has no pipelined implementation"
-            )))
-        }
-    })
 }
 
 // ---------------------------------------------------------------------------
 // Factories.
 // ---------------------------------------------------------------------------
 
-/// Construct the pipelined client side of `kind` over a connected
-/// endpoint. The window is `cfg.ring_slots`. Errors for protocols without
-/// a pipelined implementation.
-pub fn connect_client_pipelined(
+/// One windowed connection, usable as client, server or reactor state
+/// machine.
+pub(crate) trait WindowedConn: RpcClient + RpcServer + ReactorServe {}
+
+impl<W: Wire> WindowedConn for Windowed<W> {}
+
+/// Open the windowed implementation of `kind` over a connected endpoint —
+/// the same call on both ends. The window is `cfg.ring_slots`. Errors for
+/// kinds without a windowed implementation.
+pub(crate) fn open_windowed(
     kind: ProtocolKind,
     ep: Endpoint,
     cfg: ProtocolConfig,
-) -> Result<Box<dyn PipelinedClient>> {
+) -> Result<Box<dyn WindowedConn>> {
+    if cfg.ring_slots == 0 {
+        return Err(RdmaError::InvalidWorkRequest("a window needs at least one slot".into()));
+    }
     Ok(match kind {
-        ProtocolKind::EagerSendRecv => Box::new(PipelinedEager::client(ep, cfg)?),
-        ProtocolKind::ChainedWriteSend => Box::new(PipelinedChainedWrite::client(ep, cfg)?),
-        ProtocolKind::DirectWriteImm => Box::new(PipelinedWriteImm::client(ep, cfg)?),
-        ProtocolKind::HybridEagerRndv => Box::new(PipelinedHybrid::client(ep, cfg)?),
+        ProtocolKind::EagerSendRecv => Box::new(Windowed::open(ep, cfg, EagerWire::open)?),
+        ProtocolKind::DirectWriteSend => {
+            Box::new(Windowed::open(ep, cfg, |ep, cfg| ChainedWriteWire::open(ep, cfg, true))?)
+        }
+        ProtocolKind::ChainedWriteSend => {
+            Box::new(Windowed::open(ep, cfg, |ep, cfg| ChainedWriteWire::open(ep, cfg, false))?)
+        }
+        ProtocolKind::DirectWriteImm => Box::new(Windowed::open(ep, cfg, WriteImmWire::open)?),
+        ProtocolKind::HybridEagerRndv => Box::new(Windowed::open(ep, cfg, HybridWire::open)?),
         other => {
-            return Err(hat_rdma_sim::RdmaError::InvalidWorkRequest(format!(
-                "{other} has no pipelined implementation"
+            return Err(RdmaError::InvalidWorkRequest(format!(
+                "{other} has no windowed implementation"
             )))
         }
     })
 }
 
-/// Construct the server peer of a pipelined channel of `kind`. The server
-/// still speaks [`RpcServer`] — pipelining is a client-side property; the
-/// server just echoes each request's token.
-pub fn accept_server_pipelined(
+/// Construct the reactor-driven server end of a windowed channel of
+/// `kind`. Wire-compatible with [`crate::connect_client`] clients — the
+/// client cannot tell whether a thread or a reactor serves it.
+pub fn accept_server_reactor(
     kind: ProtocolKind,
     ep: Endpoint,
     cfg: ProtocolConfig,
-) -> Result<Box<dyn RpcServer>> {
-    Ok(match kind {
-        ProtocolKind::EagerSendRecv => Box::new(PipelinedEagerServer::server(ep, cfg)?),
-        ProtocolKind::ChainedWriteSend => Box::new(PipelinedChainedWriteServer::server(ep, cfg)?),
-        ProtocolKind::DirectWriteImm => Box::new(PipelinedWriteImmServer::server(ep, cfg)?),
-        ProtocolKind::HybridEagerRndv => Box::new(PipelinedHybridServer::server(ep, cfg)?),
-        other => {
-            return Err(hat_rdma_sim::RdmaError::InvalidWorkRequest(format!(
-                "{other} has no pipelined implementation"
-            )))
-        }
-    })
+) -> Result<Box<dyn ReactorServe>> {
+    Ok(open_windowed(kind, ep, cfg)?)
 }
 
-/// The protocols with pipelined implementations.
+/// The protocols whose `queue_depth` hint opens a window larger than 1
+/// (Direct-Write-Send stays at depth 1: two doorbells per message is its
+/// defining trait).
 pub const PIPELINED_KINDS: [ProtocolKind; 4] = [
     ProtocolKind::EagerSendRecv,
     ProtocolKind::ChainedWriteSend,
@@ -1567,49 +961,28 @@ pub const PIPELINED_KINDS: [ProtocolKind; 4] = [
     ProtocolKind::HybridEagerRndv,
 ];
 
-/// Adapter: drive a pipelined channel through the synchronous
-/// [`RpcClient`] trait (depth-1 usage; lets the engine hold a single
-/// channel type regardless of the negotiated queue depth).
-pub struct PipelinedAsSync {
-    inner: Box<dyn PipelinedClient>,
-}
-
-impl PipelinedAsSync {
-    /// Wrap a pipelined channel.
-    pub fn new(inner: Box<dyn PipelinedClient>) -> PipelinedAsSync {
-        PipelinedAsSync { inner }
-    }
-
-    /// Borrow the pipelined channel for windowed use.
-    pub fn pipelined(&mut self) -> &mut dyn PipelinedClient {
-        self.inner.as_mut()
-    }
-}
-
-impl RpcClient for PipelinedAsSync {
-    fn call(&mut self, request: &[u8]) -> Result<Vec<u8>> {
-        call_sync(self.inner.as_mut(), request)
-    }
-
-    fn kind(&self) -> ProtocolKind {
-        self.inner.kind()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::tests_support::{echo_pair, run_echo_calls};
+    use crate::{accept_server, connect_client};
     use hat_rdma_sim::{Fabric, Node, SimConfig};
     use std::sync::Arc;
 
     struct PipePair {
-        client: Box<dyn PipelinedClient>,
+        client: Box<dyn RpcClient>,
         cnode: Arc<Node>,
         server: std::thread::JoinHandle<()>,
         _fabric: Fabric,
     }
 
-    /// Connected pipelined client plus a server thread echoing `reverse`d
+    impl PipePair {
+        fn pipe(&mut self) -> &mut dyn PipelinedClient {
+            self.client.pipelined().expect("windowed kinds expose their window")
+        }
+    }
+
+    /// Connected windowed client plus a server thread echoing `reverse`d
     /// payloads until disconnect.
     fn echo_pipe(kind: ProtocolKind, cfg: ProtocolConfig) -> PipePair {
         echo_pipe_on(Fabric::new(SimConfig::fast_test()), kind, cfg)
@@ -1621,7 +994,7 @@ mod tests {
         let (cep, sep) = fabric.connect(&cnode, &snode).unwrap();
         let scfg = cfg.clone();
         let server = std::thread::spawn(move || {
-            let mut s = accept_server_pipelined(kind, sep, scfg).unwrap();
+            let mut s = accept_server(kind, sep, scfg).unwrap();
             s.serve_loop(&mut |req| {
                 let mut r = req.to_vec();
                 r.reverse();
@@ -1629,12 +1002,138 @@ mod tests {
             })
             .unwrap();
         });
-        let client = connect_client_pipelined(kind, cep, cfg).unwrap();
+        let client = connect_client(kind, cep, cfg).unwrap();
         PipePair { client, cnode, server, _fabric: fabric }
     }
 
     fn patterned(i: usize, size: usize) -> Vec<u8> {
         (0..size).map(|j| ((i * 31 + j) % 251) as u8).collect()
+    }
+
+    fn reversed(i: usize, size: usize) -> Vec<u8> {
+        let mut v = patterned(i, size);
+        v.reverse();
+        v
+    }
+
+    #[test]
+    fn eager_roundtrips_small_and_medium_messages() {
+        run_echo_calls(ProtocolKind::EagerSendRecv, &[4, 512, 4096]);
+    }
+
+    #[test]
+    fn direct_write_family_roundtrips() {
+        for kind in [
+            ProtocolKind::DirectWriteSend,
+            ProtocolKind::ChainedWriteSend,
+            ProtocolKind::DirectWriteImm,
+        ] {
+            run_echo_calls(kind, &[4, 512, 4096, 65536]);
+        }
+    }
+
+    #[test]
+    fn hybrid_roundtrips_across_the_threshold() {
+        // 4096 rides eager; 4097 and up take the rendezvous path.
+        run_echo_calls(ProtocolKind::HybridEagerRndv, &[16, 4096, 4097, 131072]);
+    }
+
+    #[test]
+    fn eager_charges_copies_on_both_sides() {
+        let (mut client, mut server) =
+            echo_pair(ProtocolKind::EagerSendRecv, ProtocolConfig::small());
+        let h = std::thread::spawn(move || {
+            server.serve_one(&mut |req| req.to_vec()).unwrap();
+            server
+        });
+        let before = client.node_memcpys();
+        client.call(&[7u8; 1024]).unwrap();
+        let server = h.join().unwrap();
+        assert!(client.node_memcpys() > before, "client must pay the eager copy");
+        assert!(server.node_memcpys() > 0, "server must pay the eager copy");
+    }
+
+    /// The microarchitectural claim behind Figure 3c: chaining saves one
+    /// doorbell per message relative to Direct-Write-Send.
+    #[test]
+    fn chained_rings_fewer_doorbells_than_separate() {
+        let count_doorbells = |kind| {
+            let (mut client, mut server) =
+                echo_pair(kind, ProtocolConfig { max_msg: 1024, ..Default::default() });
+            let h = std::thread::spawn(move || {
+                for _ in 0..8 {
+                    server.serve_one(&mut |r| r.to_vec()).unwrap();
+                }
+                server
+            });
+            let before = client.node().stats_snapshot().doorbells;
+            for _ in 0..8 {
+                client.call(&[1u8; 128]).unwrap();
+            }
+            let after = client.node().stats_snapshot().doorbells;
+            h.join().unwrap();
+            after - before
+        };
+        let separate = count_doorbells(ProtocolKind::DirectWriteSend);
+        let chained = count_doorbells(ProtocolKind::ChainedWriteSend);
+        assert_eq!(separate, 16, "8 calls x (WRITE + SEND) doorbells");
+        assert_eq!(chained, 8, "8 calls x 1 chained doorbell");
+    }
+
+    #[test]
+    fn imm_uses_single_work_request_per_message() {
+        let (mut client, mut server) = echo_pair(
+            ProtocolKind::DirectWriteImm,
+            ProtocolConfig { max_msg: 1024, ..Default::default() },
+        );
+        let h = std::thread::spawn(move || {
+            server.serve_one(&mut |r| r.to_vec()).unwrap();
+            server
+        });
+        let before = client.node().stats_snapshot().wrs_posted;
+        client.call(&[1u8; 64]).unwrap();
+        let after = client.node().stats_snapshot().wrs_posted;
+        h.join().unwrap();
+        assert_eq!(after - before, 1, "one WRITE_WITH_IMM per request");
+    }
+
+    #[test]
+    fn hybrid_small_messages_use_eager_copies_large_do_not() {
+        let (mut client, mut server) =
+            echo_pair(ProtocolKind::HybridEagerRndv, ProtocolConfig::default());
+        // The server outlives the calls: with no FIN, its last rendezvous
+        // reply stays staged in its memory until the client READs it.
+        let h = std::thread::spawn(move || {
+            for _ in 0..2 {
+                server.serve_one(&mut |r| r.to_vec()).unwrap();
+            }
+            server
+        });
+        let m0 = client.node_memcpys();
+        client.call(&[1u8; 128]).unwrap();
+        let m1 = client.node_memcpys();
+        assert!(m1 > m0, "small payload pays the eager copy");
+        client.call(&[2u8; 64 * 1024]).unwrap();
+        // The 64 KB payload moves zero-copy in both directions, and no
+        // FIN control message is sent.
+        assert_eq!(client.node_memcpys(), m1, "rendezvous path must not copy");
+        h.join().unwrap();
+    }
+
+    #[test]
+    fn server_sees_disconnect() {
+        for kind in [
+            ProtocolKind::EagerSendRecv,
+            ProtocolKind::DirectWriteSend,
+            ProtocolKind::ChainedWriteSend,
+            ProtocolKind::DirectWriteImm,
+            ProtocolKind::HybridEagerRndv,
+        ] {
+            let (client, mut server) =
+                echo_pair(kind, ProtocolConfig { max_msg: 256, ..Default::default() });
+            drop(client);
+            assert!(!server.serve_one(&mut |r| r.to_vec()).unwrap(), "{kind}");
+        }
     }
 
     #[test]
@@ -1645,35 +1144,41 @@ mod tests {
             // Two window laps to prove slot recycling.
             for lap in 0..2 {
                 let tokens: Vec<Token> = (0..8)
-                    .map(|i| pair.client.submit(&patterned(lap * 8 + i, 64 + i)).unwrap())
+                    .map(|i| pair.pipe().submit(&patterned(lap * 8 + i, 64 + i)).unwrap())
                     .collect();
-                assert_eq!(pair.client.in_flight(), 8, "{kind}");
+                assert_eq!(pair.pipe().in_flight(), 8, "{kind}");
                 for (i, &t) in tokens.iter().enumerate() {
-                    let resp = pair.client.wait(t).unwrap();
-                    let mut expected = patterned(lap * 8 + i, 64 + i);
-                    expected.reverse();
-                    assert_eq!(resp.as_slice(), &expected[..], "{kind} token {t}");
+                    let resp = pair.pipe().wait(t).unwrap();
+                    assert_eq!(resp.as_slice(), &reversed(lap * 8 + i, 64 + i)[..], "{kind} {t}");
                 }
-                assert_eq!(pair.client.in_flight(), 0, "{kind}");
+                assert_eq!(pair.pipe().in_flight(), 0, "{kind}");
             }
             drop(pair.client);
             pair.server.join().unwrap();
         }
     }
 
+    /// Responses can be taken in any order, and a taken slot is free at
+    /// once: after taking only the newest response of a full window, one
+    /// more submit must succeed even though every older response is still
+    /// waiting (arrived or not) in its slot.
     #[test]
     fn responses_can_be_taken_out_of_submission_order() {
         for kind in PIPELINED_KINDS {
             let cfg = ProtocolConfig { max_msg: 512, ring_slots: 4, ..Default::default() };
             let mut pair = echo_pipe(kind, cfg);
             let tokens: Vec<Token> =
-                (0..4).map(|i| pair.client.submit(&patterned(i, 32)).unwrap()).collect();
-            // Wait for the LAST token first; earlier responses buffer.
-            for &t in tokens.iter().rev() {
-                let resp = pair.client.wait(t).unwrap();
-                let mut expected = patterned(t as usize, 32);
-                expected.reverse();
-                assert_eq!(resp.as_slice(), &expected[..], "{kind} token {t}");
+                (0..4).map(|i| pair.pipe().submit(&patterned(i, 32)).unwrap()).collect();
+            let newest = tokens[3];
+            let resp = pair.pipe().wait(newest).unwrap();
+            assert_eq!(resp.as_slice(), &reversed(3, 32)[..], "{kind} token {newest}");
+            let extra = pair.pipe().submit(&patterned(4, 32)).unwrap_or_else(|e| {
+                panic!("{kind}: a taken slot must be reusable at once, got {e}")
+            });
+            // Take the rest newest-first; earlier responses buffer.
+            for &t in tokens[..3].iter().rev().chain([&extra]) {
+                let resp = pair.pipe().wait(t).unwrap();
+                assert_eq!(resp.as_slice(), &reversed(t as usize, 32)[..], "{kind} token {t}");
             }
             drop(pair.client);
             pair.server.join().unwrap();
@@ -1685,10 +1190,10 @@ mod tests {
         let cfg = ProtocolConfig { max_msg: 256, ring_slots: 4, ..Default::default() };
         let mut pair = echo_pipe(ProtocolKind::EagerSendRecv, cfg);
         let tokens: Vec<Token> =
-            (0..4).map(|i| pair.client.submit(&patterned(i, 16)).unwrap()).collect();
+            (0..4).map(|i| pair.pipe().submit(&patterned(i, 16)).unwrap()).collect();
         let mut got = Vec::new();
         while got.len() < 4 {
-            if let Some((t, _)) = pair.client.try_complete().unwrap() {
+            if let Some((t, _)) = pair.pipe().try_complete().unwrap() {
                 got.push(t);
             }
         }
@@ -1701,14 +1206,14 @@ mod tests {
     fn window_full_is_reported_not_silently_dropped() {
         let cfg = ProtocolConfig { max_msg: 256, ring_slots: 2, ..Default::default() };
         let mut pair = echo_pipe(ProtocolKind::EagerSendRecv, cfg);
-        let t0 = pair.client.submit(&[1u8; 8]).unwrap();
-        let _t1 = pair.client.submit(&[2u8; 8]).unwrap();
-        let err = pair.client.submit(&[3u8; 8]).unwrap_err();
-        assert!(err.to_string().contains("window full"), "got: {err}");
+        let t0 = pair.pipe().submit(&[1u8; 8]).unwrap();
+        let _t1 = pair.pipe().submit(&[2u8; 8]).unwrap();
+        let err = pair.pipe().submit(&[3u8; 8]).unwrap_err();
+        assert_eq!(err, RdmaError::WindowFull { in_flight: 2, window: 2 });
         // Taking one response frees a slot.
-        pair.client.wait(t0).unwrap();
-        let t2 = pair.client.submit(&[3u8; 8]).unwrap();
-        pair.client.wait(t2).unwrap();
+        pair.pipe().wait(t0).unwrap();
+        let t2 = pair.pipe().submit(&[3u8; 8]).unwrap();
+        pair.pipe().wait(t2).unwrap();
         drop(pair.client);
         pair.server.join().unwrap();
     }
@@ -1721,12 +1226,12 @@ mod tests {
             let cfg = ProtocolConfig { max_msg: 512, ring_slots: 8, ..Default::default() };
             let mut pair = echo_pipe(kind, cfg);
             // Warm up (handshake traffic also rings doorbells).
-            let t = pair.client.submit(&[9u8; 16]).unwrap();
-            pair.client.wait(t).unwrap();
+            let t = pair.pipe().submit(&[9u8; 16]).unwrap();
+            pair.pipe().wait(t).unwrap();
             let before = pair.cnode.stats_snapshot();
             let tokens: Vec<Token> =
-                (0..8).map(|i| pair.client.submit(&patterned(i, 64)).unwrap()).collect();
-            pair.client.flush().unwrap();
+                (0..8).map(|i| pair.pipe().submit(&patterned(i, 64)).unwrap()).collect();
+            pair.pipe().flush().unwrap();
             let delta = pair.cnode.stats_snapshot() - before;
             assert_eq!(delta.doorbells, 1, "{kind}: 8 staged submits must post under one doorbell");
             assert_eq!(delta.pipeline_doorbells, 1, "{kind}");
@@ -1734,8 +1239,26 @@ mod tests {
             let after = pair.cnode.stats_snapshot();
             assert!(after.inflight_hwm >= 8, "{kind}: high-water mark saw the full window");
             for &t in &tokens {
-                pair.client.wait(t).unwrap();
+                pair.pipe().wait(t).unwrap();
             }
+            drop(pair.client);
+            pair.server.join().unwrap();
+        }
+    }
+
+    /// A window of 1 is a plain channel: calls ride it, but nothing is
+    /// counted as pipelining.
+    #[test]
+    fn depth_one_calls_leave_the_pipeline_counters_alone() {
+        for kind in PIPELINED_KINDS {
+            let mut pair = echo_pipe(kind, ProtocolConfig { max_msg: 512, ..Default::default() });
+            for i in 0..4 {
+                assert_eq!(pair.client.call(&patterned(i, 64)).unwrap(), reversed(i, 64));
+            }
+            let stats = pair.cnode.stats_snapshot();
+            assert_eq!(stats.pipelined_calls, 0, "{kind}");
+            assert_eq!(stats.pipeline_doorbells, 0, "{kind}");
+            assert_eq!(stats.inflight_hwm, 0, "{kind}");
             drop(pair.client);
             pair.server.join().unwrap();
         }
@@ -1755,20 +1278,18 @@ mod tests {
         let tokens: Vec<Token> = sizes
             .iter()
             .enumerate()
-            .map(|(i, &s)| pair.client.submit(&patterned(i, s)).unwrap())
+            .map(|(i, &s)| pair.pipe().submit(&patterned(i, s)).unwrap())
             .collect();
         for (i, &t) in tokens.iter().enumerate() {
-            let resp = pair.client.wait(t).unwrap();
-            let mut expected = patterned(i, sizes[i]);
-            expected.reverse();
-            assert_eq!(resp.as_slice(), &expected[..], "size {}", sizes[i]);
+            let resp = pair.pipe().wait(t).unwrap();
+            assert_eq!(resp.as_slice(), &reversed(i, sizes[i])[..], "size {}", sizes[i]);
         }
         drop(pair.client);
         pair.server.join().unwrap();
     }
 
     /// Fault injection: delayed completions may reorder arrival at the CQ;
-    /// tokens ride the frames, so every response still lands on the right
+    /// slots ride the frames, so every response still lands on the right
     /// request.
     #[test]
     fn delayed_completions_still_map_to_the_right_tokens() {
@@ -1781,12 +1302,10 @@ mod tests {
         let mut pair = echo_pipe_on(fabric, ProtocolKind::EagerSendRecv, cfg);
         for lap in 0..4 {
             let tokens: Vec<Token> =
-                (0..8).map(|i| pair.client.submit(&patterned(lap * 8 + i, 48)).unwrap()).collect();
+                (0..8).map(|i| pair.pipe().submit(&patterned(lap * 8 + i, 48)).unwrap()).collect();
             for (i, &t) in tokens.iter().enumerate() {
-                let resp = pair.client.wait(t).unwrap();
-                let mut expected = patterned(lap * 8 + i, 48);
-                expected.reverse();
-                assert_eq!(resp.as_slice(), &expected[..], "token {t}");
+                let resp = pair.pipe().wait(t).unwrap();
+                assert_eq!(resp.as_slice(), &reversed(lap * 8 + i, 48)[..], "token {t}");
             }
         }
         drop(pair.client);
@@ -1794,34 +1313,20 @@ mod tests {
     }
 
     #[test]
-    fn sync_adapter_speaks_rpc_client() {
-        let fabric = Fabric::new(SimConfig::fast_test());
-        let cnode = fabric.add_node("client");
-        let snode = fabric.add_node("server");
-        let (cep, sep) = fabric.connect(&cnode, &snode).unwrap();
-        let cfg = ProtocolConfig { max_msg: 256, ring_slots: 4, ..Default::default() };
-        let scfg = cfg.clone();
-        let server = std::thread::spawn(move || {
-            let mut s = accept_server_pipelined(ProtocolKind::EagerSendRecv, sep, scfg).unwrap();
-            s.serve_loop(&mut |req| req.to_vec()).unwrap();
-        });
-        let inner = connect_client_pipelined(ProtocolKind::EagerSendRecv, cep, cfg).unwrap();
-        let mut sync = PipelinedAsSync::new(inner);
-        assert_eq!(sync.call(b"ping").unwrap(), b"ping");
-        assert_eq!(sync.kind(), ProtocolKind::EagerSendRecv);
-        drop(sync);
-        server.join().unwrap();
+    fn oversized_header_lengths_are_rejected_before_allocating() {
+        assert_eq!(decode_hdr(&encode_hdr(512, 3), 512).unwrap(), (512, 3));
+        assert!(decode_hdr(&encode_hdr(u32::MAX as usize, 0), 512).is_err());
     }
 
     #[test]
-    fn unsupported_kinds_are_rejected() {
+    fn kinds_without_a_window_are_rejected() {
         let fabric = Fabric::new(SimConfig::fast_test());
         let a = fabric.add_node("a");
         let b = fabric.add_node("b");
         let (ea, _eb) = fabric.connect(&a, &b).unwrap();
-        match connect_client_pipelined(ProtocolKind::Pilaf, ea, ProtocolConfig::default()) {
-            Err(err) => assert!(err.to_string().contains("no pipelined implementation")),
-            Ok(_) => panic!("Pilaf must not have a pipelined implementation"),
+        match accept_server_reactor(ProtocolKind::Pilaf, ea, ProtocolConfig::default()) {
+            Err(err) => assert!(err.to_string().contains("no windowed implementation")),
+            Ok(_) => panic!("Pilaf must not have a windowed implementation"),
         }
     }
 }

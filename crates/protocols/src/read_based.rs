@@ -40,14 +40,18 @@ struct RequestChannel {
     slot_size: usize,
 }
 
+/// Receive-ring depth. Fixed: these kinds serve one call at a time, so
+/// [`ProtocolConfig::ring_slots`] (the window of the windowed kinds) does
+/// not apply.
+const RING_SLOTS: usize = 16;
 const REQ_HDR: usize = 4;
 
 impl RequestChannel {
     fn new(ep: &Endpoint, cfg: &ProtocolConfig, post_recvs: bool) -> Result<RequestChannel> {
         let slot_size = cfg.max_msg + REQ_HDR;
-        let ring = ep.pd().register(cfg.ring_slots * slot_size)?;
+        let ring = ep.pd().register(RING_SLOTS * slot_size)?;
         if post_recvs {
-            for i in 0..cfg.ring_slots {
+            for i in 0..RING_SLOTS {
                 ep.post_recv(RecvWr::new(i as u64, ring.clone(), i * slot_size, slot_size))?;
             }
         }
@@ -58,7 +62,7 @@ impl RequestChannel {
             timeout_ns: cfg.op_timeout_ns,
             ring,
             staging,
-            slots: cfg.ring_slots,
+            slots: RING_SLOTS,
             slot_size,
         })
     }

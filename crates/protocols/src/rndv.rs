@@ -70,11 +70,15 @@ struct Rndv {
 }
 
 /// Control slot size: tag + len + RemoteBuf.
+/// Control-ring depth. Fixed: these kinds serve one call at a time, so
+/// [`ProtocolConfig::ring_slots`] (the window of the windowed kinds) does
+/// not apply.
+const RING_SLOTS: usize = 16;
 const CTRL_SLOT: usize = 1 + 8 + RemoteBuf::WIRE_SIZE;
 
 impl Rndv {
     fn new(ep: Endpoint, cfg: ProtocolConfig) -> Result<Rndv> {
-        let ctrl = CtrlRing::new(&ep, cfg.ring_slots, CTRL_SLOT, cfg.op_timeout_ns)?;
+        let ctrl = CtrlRing::new(&ep, RING_SLOTS, CTRL_SLOT, cfg.op_timeout_ns)?;
         let pool = ep.pd().register(cfg.max_msg)?;
         Ok(Rndv { ep, cfg, ctrl, pool })
     }

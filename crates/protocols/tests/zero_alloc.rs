@@ -17,9 +17,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use hat_protocols::{
-    accept_server_pipelined, connect_client_pipelined, ProtocolConfig, ProtocolKind, Token,
-};
+use hat_protocols::{accept_server, connect_client, ProtocolConfig, ProtocolKind, Token};
 use hat_rdma_sim::{Fabric, PollMode, SimConfig};
 
 /// Pass-through allocator that counts allocation events (alloc, zeroed
@@ -92,10 +90,11 @@ fn eager_pipelined_hot_path_is_allocation_free_after_warmup() {
 
     let scfg = cfg.clone();
     let server = std::thread::spawn(move || {
-        let mut s = accept_server_pipelined(ProtocolKind::EagerSendRecv, sep, scfg).unwrap();
+        let mut s = accept_server(ProtocolKind::EagerSendRecv, sep, scfg).unwrap();
         s.serve_loop(&mut |req| req.to_vec()).unwrap();
     });
-    let mut client = connect_client_pipelined(ProtocolKind::EagerSendRecv, cep, cfg).unwrap();
+    let mut channel = connect_client(ProtocolKind::EagerSendRecv, cep, cfg).unwrap();
+    let client = channel.pipelined().expect("eager exposes its window");
 
     // Everything the measured loop touches is allocated up front.
     let request = vec![0xC3u8; PAYLOAD];
@@ -150,6 +149,6 @@ fn eager_pipelined_hot_path_is_allocation_free_after_warmup() {
         16 * WINDOW
     );
 
-    drop(client);
+    drop(channel);
     server.join().unwrap();
 }

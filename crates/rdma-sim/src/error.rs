@@ -29,6 +29,14 @@ pub enum RdmaError {
     QueueFull(&'static str),
     /// The work-request chain was empty or malformed.
     InvalidWorkRequest(String),
+    /// Every slot of a request window is in flight: take a completed
+    /// response before submitting more.
+    WindowFull {
+        /// Requests submitted but not yet taken.
+        in_flight: usize,
+        /// The window size.
+        window: usize,
+    },
     /// No listener is registered under the requested service id.
     NoSuchService(String),
     /// Node name not present in the fabric.
@@ -54,6 +62,11 @@ impl fmt::Display for RdmaError {
             RdmaError::Disconnected => write!(f, "peer disconnected"),
             RdmaError::QueueFull(q) => write!(f, "{q} queue full"),
             RdmaError::InvalidWorkRequest(msg) => write!(f, "invalid work request: {msg}"),
+            RdmaError::WindowFull { in_flight, window } => write!(
+                f,
+                "window full ({in_flight} of {window} in flight): take a completed response \
+                 before submitting more"
+            ),
             RdmaError::NoSuchService(s) => write!(f, "no listener for service '{s}'"),
             RdmaError::NoSuchNode(n) => write!(f, "no node named '{n}' in fabric"),
             RdmaError::InlineTooLarge { len, max } => {

@@ -125,7 +125,7 @@ fn async_calls_fill_the_window_against_a_reactor_server() {
     }
     let err = client.call_async("piped", b"one too many").unwrap_err();
     assert!(
-        matches!(&err, CoreError::Rdma(RdmaError::InvalidWorkRequest(m)) if m.contains("window full")),
+        matches!(&err, CoreError::Rdma(RdmaError::WindowFull { in_flight: 8, window: 8 })),
         "got: {err}"
     );
     for mut call in parked {

@@ -8,9 +8,10 @@
 //! * [`Database::begin_read`] snapshots the current root; the snapshot is
 //!   immutable and stays consistent regardless of concurrent commits.
 //! * [`Database::begin_write`] takes the single writer lock and mutates a
-//!   private copy of the path to each touched leaf
-//!   ([`std::sync::Arc::make_mut`] keeps it allocation-free when no
-//!   snapshot pins the old version).
+//!   private copy of the path to each touched leaf. Keys and values are
+//!   shared by reference count, so the copy is O(depth) nodes of pointers
+//!   and never a value; a node the transaction already copied is mutated
+//!   in place ([`std::sync::Arc::make_mut`]).
 //! * `max_readers` bounds concurrent read transactions (LMDB's reader
 //!   table); exceeding it fails with [`KvError::ReadersFull`]. HatKV's
 //!   hint co-design tunes this from the `concurrency` hint.
@@ -244,8 +245,8 @@ impl Database {
                     }
                 }
             }
-            // Replay must not re-log; commit via the non-logging path.
-            txn.commit_replayed();
+            // Replay must not re-log; publish without paying for a commit.
+            txn.publish();
         }
         *db.inner.wal.lock() = Some(wal);
         Ok((db, recovery))
@@ -357,7 +358,8 @@ impl Database {
             .writer_wait_ns
             .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         let root = self.inner.root.read().clone();
-        Ok(WriteTxn { db: self, root, _guard: guard, dirty: false, log: Vec::new() })
+        let persistent = self.inner.wal.lock().is_some();
+        Ok(WriteTxn { db: self, root, _guard: guard, dirty: false, persistent, log: Vec::new() })
     }
 
     /// Convenience: single-key read outside a transaction.
@@ -416,6 +418,8 @@ pub struct WriteTxn<'db> {
     root: Arc<Node>,
     _guard: parking_lot::MutexGuard<'db, ()>,
     dirty: bool,
+    /// Whether the database has a WAL, decided once at `begin_write`.
+    persistent: bool,
     /// Operations to append to the WAL at commit (persistent DBs only).
     log: Vec<WalOp>,
 }
@@ -430,7 +434,7 @@ impl WriteTxn<'_> {
             .bytes_written
             .fetch_add((key.len() + value.len()) as u64, Ordering::Relaxed);
         tree::insert(&mut self.root, key, value);
-        if self.db.inner.wal.lock().is_some() {
+        if self.persistent {
             self.log.push(WalOp::Put(key.to_vec(), value.to_vec()));
         }
         self.dirty = true;
@@ -440,7 +444,7 @@ impl WriteTxn<'_> {
     pub fn del(&mut self, key: &[u8]) -> bool {
         self.db.inner.stats.dels.fetch_add(1, Ordering::Relaxed);
         let existed = tree::remove(&mut self.root, key);
-        if existed && self.db.inner.wal.lock().is_some() {
+        if existed && self.persistent {
             self.log.push(WalOp::Del(key.to_vec()));
         }
         self.dirty |= existed;
@@ -455,43 +459,9 @@ impl WriteTxn<'_> {
     /// Publish the new tree and pay the configured durability cost —
     /// real WAL appends/flushes for persistent databases, a calibrated
     /// stall for in-memory ones.
-    pub fn commit(self) {
-        let (sync, cost_override) = {
-            let cfg = self.db.inner.config.read();
-            (cfg.sync_mode, cfg.commit_cost_ns)
-        };
-        let mut wal = self.db.inner.wal.lock();
-        match wal.as_mut() {
-            Some(wal) if !self.log.is_empty() => {
-                let t0 = std::time::Instant::now();
-                wal.commit(&self.log, sync).expect("WAL append");
-                self.db
-                    .inner
-                    .stats
-                    .sync_ns
-                    .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            }
-            _ => {
-                let cost = cost_override.unwrap_or_else(|| sync.commit_cost_ns());
-                if self.dirty && cost > 0 {
-                    // Model the fsync stall.
-                    let start = std::time::Instant::now();
-                    while (std::time::Instant::now() - start).as_nanos() < cost as u128 {
-                        std::thread::yield_now();
-                    }
-                    self.db.inner.stats.sync_ns.fetch_add(cost, Ordering::Relaxed);
-                }
-            }
-        }
-        drop(wal);
-        *self.db.inner.root.write() = self.root;
-        self.db.inner.stats.commits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Commit without logging (WAL replay path).
-    fn commit_replayed(self) {
-        *self.db.inner.root.write() = self.root;
-        self.db.inner.stats.commits.fetch_add(1, Ordering::Relaxed);
+    pub fn commit(mut self) {
+        let log = std::mem::take(&mut self.log);
+        self.finish(!log.is_empty(), |wal, sync| wal.commit(&log, sync));
     }
 
     /// Publish this transaction's mutations as the *apply* step of a 2PC
@@ -501,36 +471,53 @@ impl WriteTxn<'_> {
     /// writer lock, so the log's decision order matches the shard's
     /// apply order exactly.
     pub fn commit_txn(self, txn_id: u64) {
+        self.finish(true, |wal, sync| wal.decision(txn_id, true, sync));
+    }
+
+    /// Pay the commit's durability cost, then publish. A persistent
+    /// database runs `append` on its WAL when `logged`; otherwise a dirty
+    /// transaction yields for the modelled fsync stall.
+    fn finish(self, logged: bool, append: impl FnOnce(&mut Wal, SyncMode) -> std::io::Result<()>) {
         let (sync, cost_override) = {
             let cfg = self.db.inner.config.read();
             (cfg.sync_mode, cfg.commit_cost_ns)
         };
         let mut wal = self.db.inner.wal.lock();
-        match wal.as_mut() {
-            Some(wal) => {
+        let stall_ns = match wal.as_mut() {
+            Some(wal) if logged => {
                 let t0 = std::time::Instant::now();
-                wal.decision(txn_id, true, sync).expect("WAL append");
+                append(wal, sync).expect("WAL append");
                 self.db
                     .inner
                     .stats
                     .sync_ns
                     .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                0
             }
-            None => {
-                let cost = cost_override.unwrap_or_else(|| sync.commit_cost_ns());
-                if self.dirty && cost > 0 {
-                    // Model the fsync stall, as `commit` does.
-                    let start = std::time::Instant::now();
-                    while (std::time::Instant::now() - start).as_nanos() < cost as u128 {
-                        std::thread::yield_now();
-                    }
-                    self.db.inner.stats.sync_ns.fetch_add(cost, Ordering::Relaxed);
-                }
-            }
-        }
+            _ if self.dirty => cost_override.unwrap_or_else(|| sync.commit_cost_ns()),
+            _ => 0,
+        };
         drop(wal);
-        *self.db.inner.root.write() = self.root;
-        self.db.inner.stats.commits.fetch_add(1, Ordering::Relaxed);
+        if stall_ns > 0 {
+            let start = std::time::Instant::now();
+            while start.elapsed().as_nanos() < stall_ns as u128 {
+                std::thread::yield_now();
+            }
+            self.db.inner.stats.sync_ns.fetch_add(stall_ns, Ordering::Relaxed);
+        }
+        self.publish();
+    }
+
+    /// Swap in the new root without logging (the last step of every
+    /// commit, and all of WAL replay). The superseded root is dropped only
+    /// after the root and writer locks are released, so neither readers
+    /// nor the next writer wait behind freeing its path.
+    fn publish(self) {
+        let WriteTxn { db, root, _guard: writer, .. } = self;
+        let old = std::mem::replace(&mut *db.inner.root.write(), root);
+        db.inner.stats.commits.fetch_add(1, Ordering::Relaxed);
+        drop(writer);
+        drop(old);
     }
 
     /// Discard the transaction's mutations.

@@ -4,6 +4,12 @@
 //! of the touched key ([`std::sync::Arc::make_mut`]), so read snapshots taken before a
 //! commit keep observing the old tree at zero cost — LMDB's core design,
 //! expressed with Rust ownership instead of an mmap'd page file.
+//!
+//! Keys and values are reference-counted too (`Arc<[u8]>`), so copying a
+//! node clones pointers, never bytes: a write copies O(depth) nodes of
+//! pointers and allocates only the bytes it writes. Where LMDB copies one
+//! page per level, a path copy here moves at most `ORDER + 1` pointers
+//! per vector per level, whatever the value size.
 
 use std::sync::Arc;
 
@@ -14,8 +20,8 @@ pub(crate) const ORDER: usize = 32;
 /// Minimum keys per non-root node (rebalance threshold).
 const MIN_KEYS: usize = ORDER / 4;
 
-type Key = Box<[u8]>;
-type Val = Box<[u8]>;
+type Key = Arc<[u8]>;
+type Val = Arc<[u8]>;
 
 /// A B+Tree node.
 #[derive(Debug, Clone)]
@@ -355,6 +361,53 @@ mod tests {
         for i in 0..200u32 {
             assert_eq!(snapshot.get(&i.to_be_bytes()), Some(&b"v0"[..]), "{i}");
             assert_eq!(root.get(&i.to_be_bytes()), Some(&b"v1"[..]), "{i}");
+        }
+    }
+
+    /// The stored `(key, value)` handles for `key`, if present.
+    fn entry<'a>(node: &'a Node, key: &[u8]) -> Option<(&'a Key, &'a Val)> {
+        match node {
+            Node::Leaf { keys, vals, .. } => {
+                let i = keys.binary_search_by(|k| k.as_ref().cmp(key)).ok()?;
+                Some((&keys[i], &vals[i]))
+            }
+            Node::Branch { keys, children, .. } => entry(&children[child_index(keys, key)], key),
+        }
+    }
+
+    /// Every leaf key of the subtree, in order.
+    fn all_keys(node: &Node, out: &mut Vec<Key>) {
+        match node {
+            Node::Leaf { keys, .. } => out.extend(keys.iter().cloned()),
+            Node::Branch { children, .. } => children.iter().for_each(|c| all_keys(c, out)),
+        }
+    }
+
+    #[test]
+    fn path_copies_share_untouched_keys_and_values() {
+        let mut loaded = Arc::new(Node::empty_leaf());
+        for i in 0..1000u32 {
+            insert(&mut loaded, &(i * 2).to_be_bytes(), &[i as u8; 100]);
+        }
+        assert!(loaded.depth() >= 2, "the write must copy a path, not just a root leaf");
+        let mut keys = Vec::new();
+        all_keys(&loaded, &mut keys);
+
+        // An overwrite and a fresh key (odd, so it lands between loaded ones).
+        for written in [500u32.to_be_bytes(), 777u32.to_be_bytes()] {
+            let mut root = loaded.clone();
+            insert(&mut root, &written, b"new");
+            assert!(!Arc::ptr_eq(&root, &loaded), "the root was path-copied");
+            assert_eq!(entry(&loaded, &written).is_some(), written == 500u32.to_be_bytes());
+            assert_eq!(entry(&root, &written).map(|(_, v)| v.as_ref()), Some(&b"new"[..]));
+            for key in &keys {
+                let (old_k, old_v) = entry(&loaded, key).unwrap();
+                let (new_k, new_v) = entry(&root, key).unwrap();
+                assert!(Arc::ptr_eq(old_k, new_k), "key {key:?} shared after writing {written:?}");
+                if key.as_ref() != written {
+                    assert!(Arc::ptr_eq(old_v, new_v), "value {key:?} shared");
+                }
+            }
         }
     }
 

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use hat_idl::hints::Side;
-use hat_kvdb::{DbConfig, ShardedDb};
+use hat_kvdb::{DbConfig, ShardedDb, WalOp};
 use hat_protocols::{OneSidedHost, OneSidedIndex};
 use hat_rdma_sim::{Fabric, Node};
 use hatrpc_core::engine::{HatServer, ServerPolicy};
@@ -53,17 +53,21 @@ pub fn wants_onesided(schema: &ServiceSchema) -> bool {
 
 /// Mirrors committed KV writes into the one-sided index. Callbacks run
 /// inside the shard writer-lock scope, so per-key index updates land in
-/// commit order.
+/// commit order, and each shard transaction is one index batch, so a
+/// one-sided MultiGET sees all of it or none of it.
 struct IndexMirror {
     index: Arc<OneSidedIndex>,
 }
 
 impl hat_kvdb::WriteObserver for IndexMirror {
-    fn on_put(&self, key: &[u8], value: &[u8]) {
-        self.index.apply_put(key, value);
-    }
-    fn on_del(&self, key: &[u8]) {
-        self.index.apply_del(key);
+    fn on_batch(&self, shard: usize, ops: &[WalOp]) {
+        let batch = self.index.batch(shard);
+        for op in ops {
+            match op {
+                WalOp::Put(key, value) => batch.put(key, value),
+                WalOp::Del(key) => batch.del(key),
+            }
+        }
     }
 }
 
@@ -142,13 +146,13 @@ impl HatKvServer {
         // writes racing the seeding scan below may leave briefly stale
         // index entries until the next write to the same key.
         let onesided = if wants_onesided(&schema) {
-            match OneSidedHost::start(fabric, node, service) {
+            match OneSidedHost::start(fabric, node, service, db.shard_count()) {
                 Ok(host) => {
                     let index = host.index().clone();
                     db.set_write_observer(Arc::new(IndexMirror { index: index.clone() }));
                     if let Ok(txn) = db.begin_read() {
                         for (key, value) in txn.range(vec![]..vec![0xff; 130]) {
-                            index.apply_put(&key, &value);
+                            index.batch(db.shard_of(&key)).put(&key, &value);
                         }
                     }
                     Some(host)

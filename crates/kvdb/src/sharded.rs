@@ -56,7 +56,7 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::cursor::Cursor;
 use crate::wal::WalOp;
-use crate::{Database, DbConfig, DbStatsSnapshot, KvError, ReadTxn};
+use crate::{Database, DbConfig, DbStatsSnapshot, KvError, ReadTxn, WriteTxn};
 
 /// Default bound on transaction lock acquisition: long enough to ride out
 /// writer-lock convoys, short enough that a wedged peer cannot hold the
@@ -97,14 +97,16 @@ fn fnv1a(key: &[u8]) -> u64 {
 /// can never leave the observer's view and the database disagreeing about
 /// which write was last.
 ///
+/// Each callback carries one shard's whole write transaction, so an
+/// observer can publish the batch as a unit and keep its own view
+/// atomic per shard, as the database is.
+///
 /// Callbacks must not call back into the database (the shard writer lock
 /// is held) and should be quick: their cost serializes with all writes to
 /// the shard.
 pub trait WriteObserver: Send + Sync {
-    /// A key/value pair was written.
-    fn on_put(&self, key: &[u8], value: &[u8]);
-    /// A key was deleted.
-    fn on_del(&self, key: &[u8]);
+    /// Shard `shard` is committing `ops`, in order, as one transaction.
+    fn on_batch(&self, shard: usize, ops: &[WalOp]);
 }
 
 /// Errors from the cross-shard transaction path.
@@ -402,10 +404,11 @@ impl ShardedDb {
         // invert multi_put's lock order and deadlock against a queued
         // set/clear_write_observer writer.
         let observer = self.observer.read().clone();
-        let mut txn = self.shards[self.shard_of(key)].begin_write().expect("writer lock");
+        let shard = self.shard_of(key);
+        let mut txn = self.shards[shard].begin_write().expect("writer lock");
         txn.put(key, value);
         if let Some(obs) = &observer {
-            obs.on_put(key, value);
+            obs.on_batch(shard, &[WalOp::Put(key.to_vec(), value.to_vec())]);
         }
         txn.commit();
     }
@@ -413,10 +416,11 @@ impl ShardedDb {
     /// Single-key autocommit delete; returns whether the key existed.
     pub fn del(&self, key: &[u8]) -> bool {
         let observer = self.observer.read().clone();
-        let mut txn = self.shards[self.shard_of(key)].begin_write().expect("writer lock");
+        let shard = self.shard_of(key);
+        let mut txn = self.shards[shard].begin_write().expect("writer lock");
         let existed = txn.del(key);
         if let Some(obs) = &observer {
-            obs.on_del(key);
+            obs.on_batch(shard, &[WalOp::Del(key.to_vec())]);
         }
         txn.commit();
         existed
@@ -425,22 +429,17 @@ impl ShardedDb {
     /// Write a batch: group pairs by shard, then one write transaction
     /// per shard touched. Atomic within each shard, not across shards.
     pub fn multi_put(&self, pairs: impl IntoIterator<Item = (Vec<u8>, Vec<u8>)>) {
-        let mut groups: Vec<Vec<(Vec<u8>, Vec<u8>)>> = vec![Vec::new(); self.shards.len()];
+        let mut groups: Vec<Vec<WalOp>> = vec![Vec::new(); self.shards.len()];
         for (k, v) in pairs {
-            groups[self.shard_of(&k)].push((k, v));
+            groups[self.shard_of(&k)].push(WalOp::Put(k, v));
         }
         let observer = self.observer.read().clone();
-        for (shard, group) in self.shards.iter().zip(&groups) {
+        for (shard, group) in groups.iter().enumerate() {
             if group.is_empty() {
                 continue;
             }
-            let mut txn = shard.begin_write().expect("writer lock");
-            for (k, v) in group {
-                txn.put(k, v);
-                if let Some(obs) = &observer {
-                    obs.on_put(k, v);
-                }
-            }
+            let mut txn = self.shards[shard].begin_write().expect("writer lock");
+            apply_observed(&mut txn, shard, group, observer.as_deref());
             txn.commit();
         }
     }
@@ -544,22 +543,7 @@ impl ShardedDb {
         let observer = self.observer.read().clone();
         for (done, &s) in touched.iter().enumerate() {
             let mut write = self.shards[s].begin_write().expect("writer lock");
-            for op in &groups[s] {
-                match op {
-                    WalOp::Put(k, v) => {
-                        write.put(k, v);
-                        if let Some(obs) = &observer {
-                            obs.on_put(k, v);
-                        }
-                    }
-                    WalOp::Del(k) => {
-                        write.del(k);
-                        if let Some(obs) = &observer {
-                            obs.on_del(k);
-                        }
-                    }
-                }
-            }
+            apply_observed(&mut write, s, &groups[s], observer.as_deref());
             write.commit_txn(txn_id);
             if self.crash_hit(TxnCrashPoint::AfterDecisions(done + 1)) {
                 unlock_upto(touched.len());
@@ -614,6 +598,27 @@ impl ShardedDb {
             txns.push(shard.begin_read()?);
         }
         Ok(ShardedReadTxn { txns })
+    }
+}
+
+/// Stage `ops` into shard `shard`'s open write transaction and hand them
+/// to the observer as one batch, still under the shard writer lock.
+fn apply_observed(
+    write: &mut WriteTxn<'_>,
+    shard: usize,
+    ops: &[WalOp],
+    observer: Option<&dyn WriteObserver>,
+) {
+    for op in ops {
+        match op {
+            WalOp::Put(k, v) => write.put(k, v),
+            WalOp::Del(k) => {
+                write.del(k);
+            }
+        }
+    }
+    if let Some(obs) = observer {
+        obs.on_batch(shard, ops);
     }
 }
 
@@ -811,11 +816,14 @@ mod tests {
             events: Mutex<Vec<Event>>,
         }
         impl WriteObserver for Recorder {
-            fn on_put(&self, key: &[u8], value: &[u8]) {
-                self.events.lock().unwrap().push((key.to_vec(), Some(value.to_vec())));
-            }
-            fn on_del(&self, key: &[u8]) {
-                self.events.lock().unwrap().push((key.to_vec(), None));
+            fn on_batch(&self, _shard: usize, ops: &[WalOp]) {
+                let mut events = self.events.lock().unwrap();
+                for op in ops {
+                    events.push(match op {
+                        WalOp::Put(k, v) => (k.clone(), Some(v.clone())),
+                        WalOp::Del(k) => (k.clone(), None),
+                    });
+                }
             }
         }
 
@@ -862,6 +870,47 @@ mod tests {
         db.clear_write_observer();
         db.put(b"quiet", b"x");
         assert_eq!(rec.events.lock().unwrap().len(), 200, "cleared observer sees nothing");
+    }
+
+    /// Each shard transaction reaches the observer as one batch tagged
+    /// with the shard that owns every key in it — what lets an external
+    /// index publish a shard's batch atomically.
+    #[test]
+    fn write_observer_gets_one_batch_per_shard_transaction() {
+        use std::sync::Mutex;
+
+        #[derive(Default)]
+        struct Batches {
+            seen: Mutex<Vec<(usize, Vec<WalOp>)>>,
+        }
+        impl WriteObserver for Batches {
+            fn on_batch(&self, shard: usize, ops: &[WalOp]) {
+                self.seen.lock().unwrap().push((shard, ops.to_vec()));
+            }
+        }
+
+        let db = db(4);
+        let rec = Arc::new(Batches::default());
+        db.set_write_observer(rec.clone());
+        let pairs: Vec<(Vec<u8>, Vec<u8>)> = (0..32u8).map(|i| (vec![b'k', i], vec![i])).collect();
+        db.multi_put(pairs.clone());
+        db.multi_del_txn(pairs.iter().map(|(k, _)| k.clone())).unwrap();
+        db.put(b"solo", b"v");
+        let seen = rec.seen.lock().unwrap();
+        let shards_hit = (0..4).filter(|&s| pairs.iter().any(|(k, _)| db.shard_of(k) == s)).count();
+        assert_eq!(seen.len(), 2 * shards_hit + 1, "one callback per shard per write");
+        for (shard, ops) in seen.iter() {
+            assert!(!ops.is_empty());
+            for op in ops {
+                let key = match op {
+                    WalOp::Put(k, _) | WalOp::Del(k) => k,
+                };
+                assert_eq!(db.shard_of(key), *shard, "batch carries only its shard's keys");
+            }
+        }
+        let puts: usize = seen[..shards_hit].iter().map(|(_, ops)| ops.len()).sum();
+        assert_eq!(puts, pairs.len(), "a MultiPUT's shard batches cover it exactly");
+        assert_eq!(seen.last().unwrap().1, vec![WalOp::Put(b"solo".to_vec(), b"v".to_vec())]);
     }
 
     fn temp_dir(name: &str) -> PathBuf {
@@ -1017,11 +1066,14 @@ mod tests {
             events: StdMutex<Vec<Mutation>>,
         }
         impl WriteObserver for Recorder {
-            fn on_put(&self, key: &[u8], value: &[u8]) {
-                self.events.lock().unwrap().push((key.to_vec(), Some(value.to_vec())));
-            }
-            fn on_del(&self, key: &[u8]) {
-                self.events.lock().unwrap().push((key.to_vec(), None));
+            fn on_batch(&self, _shard: usize, ops: &[WalOp]) {
+                let mut events = self.events.lock().unwrap();
+                for op in ops {
+                    events.push(match op {
+                        WalOp::Put(k, v) => (k.clone(), Some(v.clone())),
+                        WalOp::Del(k) => (k.clone(), None),
+                    });
+                }
             }
         }
 

@@ -41,7 +41,8 @@ pub use common::{
 };
 pub use herd::Herd;
 pub use onesided::{
-    onesided_service, FallbackReason, OneSidedAdvert, OneSidedHost, OneSidedIndex, OneSidedReader,
+    onesided_service, FallbackReason, IndexBatch, OneSidedAdvert, OneSidedHost, OneSidedIndex,
+    OneSidedReader,
 };
 pub use pipeline::{
     accept_server_reactor, ChainedWriteSend, DirectWriteImm, EagerSendRecv, HybridEagerRndv,

@@ -1,15 +1,29 @@
 //! One-sided server-bypass GET path (hint `onesided_get`).
 //!
 //! The server publishes an MR-backed hash index — a set-associative
-//! bucket array of `{key_fp, version, value_off, value_len}` slots plus a
-//! value heap — and keeps it current from the KV write path under a
-//! per-slot seqlock (odd version = write in progress). Clients resolve
-//! GETs entirely with simulated RDMA READs: one READ fetches the bucket
-//! set, a second fetches the value cell, and the cell's embedded version
-//! must match the slot version observed in the first READ. Any mismatch,
-//! index miss, or oversized value makes the client fall back to the
-//! ordinary RPC path — the index is an accelerator, never the source of
-//! truth.
+//! bucket array of `{key_fp, version, value_off, value_len, shard}` slots,
+//! a value heap, and one commit-epoch word per storage shard — and keeps
+//! it current from the KV write path under a per-slot seqlock (odd
+//! version = write in progress). Clients resolve GETs entirely with
+//! simulated RDMA READs: one READ fetches the bucket set, a second fetches
+//! the value cell, and the cell's embedded version must match the slot
+//! version observed in the first READ. Any mismatch, index miss, or
+//! oversized value makes the client fall back to the ordinary RPC path —
+//! the index is an accelerator, never the source of truth.
+//!
+//! A MultiGET must also show each shard's keys as of one commit, as the
+//! RPC path does. Per-key seqlocks cannot promise that: a MultiPUT landing
+//! between the set READs and the cell READs would pass every key's check
+//! and still yield a mixed batch. So writers publish a shard's batch
+//! between two bumps of that shard's epoch (odd while the batch is open),
+//! and [`OneSidedReader::multiget`] READs the epochs between its set READs
+//! and its cell READs: every shard it touched must show one even epoch,
+//! or the attempt is a conflict. One copy per chunk is enough. A key seen
+//! after a batch had its slot READ after the batch wrote it; a key seen
+//! before it had its cell READ before the batch wrote that; a batch that
+//! did both is open while the epochs are READ between the two phases, or,
+//! across chunks, completes between two copies. This is the
+//! version-validation rule of FaRM-style one-sided reads.
 //!
 //! Geometry and MR descriptors travel out-of-band on a `{service}#onesided`
 //! side-channel ([`onesided_service`]): the engine's connection preamble
@@ -36,7 +50,8 @@ pub const WAYS: usize = 4;
 pub const NUM_SETS: usize = 4096;
 /// Total slots in the index.
 pub const NUM_SLOTS: usize = WAYS * NUM_SETS;
-/// Bytes per slot: `{key_fp, version, value_off, value_len}`, 4 × u64.
+/// Bytes per slot: `{key_fp, version, value_off}` as u64, then
+/// `{value_len, shard}` as u32.
 pub const SLOT_BYTES: usize = 32;
 /// Bytes per bucket set (the first READ's size).
 pub const SET_BYTES: usize = WAYS * SLOT_BYTES;
@@ -44,6 +59,8 @@ pub const SET_BYTES: usize = WAYS * SLOT_BYTES;
 pub const VALUE_CAP: usize = 1024;
 /// Value-cell header: the cell's own copy of the slot version.
 pub const CELL_HDR: usize = 8;
+/// Bytes per shard commit epoch (a u64, odd while a batch is open).
+pub const EPOCH_BYTES: usize = 8;
 /// Bytes per value cell (each slot owns exactly one cell).
 pub const CELL_BYTES: usize = CELL_HDR + VALUE_CAP;
 /// Keys resolved per doorbell round in [`OneSidedReader::multiget`].
@@ -79,13 +96,14 @@ pub enum FallbackReason {
     Miss = 1,
     /// The slot advertises a value larger than the reader's cell capacity.
     Oversized = 2,
-    /// Seqlock validation failed after retries: odd slot version, or the
-    /// value cell's version did not match the slot version read first.
+    /// Seqlock validation failed after retries: odd slot version, the
+    /// value cell's version did not match the slot version read first, or
+    /// (MultiGET) a shard's commit epoch moved during the READs.
     Conflict = 3,
 }
 
-/// Self-describing index geometry + the two MR descriptors a client needs
-/// to issue READs, exchanged over the side-channel handshake.
+/// Self-describing index geometry + the three MR descriptors a client
+/// needs to issue READs, exchanged over the side-channel handshake.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OneSidedAdvert {
     /// Slots per set.
@@ -96,15 +114,19 @@ pub struct OneSidedAdvert {
     pub slot_bytes: u32,
     /// Largest value the heap cells hold.
     pub value_cap: u32,
+    /// Number of storage shards, one commit epoch each.
+    pub shards: u32,
     /// The bucket-array region.
     pub slots: RemoteBuf,
     /// The value-heap region.
     pub heap: RemoteBuf,
+    /// The shard commit-epoch array.
+    pub epochs: RemoteBuf,
 }
 
 impl OneSidedAdvert {
-    /// Serialized size: 4 × u32 geometry + 2 × [`RemoteBuf::WIRE_SIZE`].
-    pub const WIRE_SIZE: usize = 16 + 2 * RemoteBuf::WIRE_SIZE;
+    /// Serialized size: 5 × u32 geometry + 3 × [`RemoteBuf::WIRE_SIZE`].
+    pub const WIRE_SIZE: usize = 20 + 3 * RemoteBuf::WIRE_SIZE;
 
     /// Encode to the fixed little-endian side-channel representation.
     pub fn encode(&self) -> Vec<u8> {
@@ -113,8 +135,10 @@ impl OneSidedAdvert {
         out.extend_from_slice(&self.num_sets.to_le_bytes());
         out.extend_from_slice(&self.slot_bytes.to_le_bytes());
         out.extend_from_slice(&self.value_cap.to_le_bytes());
+        out.extend_from_slice(&self.shards.to_le_bytes());
         out.extend_from_slice(&self.slots.encode());
         out.extend_from_slice(&self.heap.encode());
+        out.extend_from_slice(&self.epochs.encode());
         out
     }
 
@@ -130,13 +154,16 @@ impl OneSidedAdvert {
         let u = |r: std::ops::Range<usize>| {
             u32::from_le_bytes(bytes[r].try_into().expect("range is 4 bytes"))
         };
+        let buf = |i: usize| RemoteBuf::decode(&bytes[20 + i * RemoteBuf::WIRE_SIZE..]);
         let advert = OneSidedAdvert {
             ways: u(0..4),
             num_sets: u(4..8),
             slot_bytes: u(8..12),
             value_cap: u(12..16),
-            slots: RemoteBuf::decode(&bytes[16..16 + RemoteBuf::WIRE_SIZE])?,
-            heap: RemoteBuf::decode(&bytes[16 + RemoteBuf::WIRE_SIZE..])?,
+            shards: u(16..20),
+            slots: buf(0)?,
+            heap: buf(1)?,
+            epochs: buf(2)?,
         };
         // The slot layout is part of the protocol: a client parses raw
         // bytes, so reject geometry it was not built for.
@@ -146,6 +173,8 @@ impl OneSidedAdvert {
             || advert.slot_bytes != SLOT_BYTES as u32
             || advert.value_cap == 0
             || advert.slots.len != expect_slots
+            || advert.shards == 0
+            || advert.epochs.len != advert.shards as u64 * EPOCH_BYTES as u64
         {
             return Err(RdmaError::InvalidWorkRequest(format!(
                 "onesided advert geometry is inconsistent: {advert:?}"
@@ -165,12 +194,14 @@ struct Shadow {
 
 /// Server side: the MR-backed index the KV write path keeps current.
 ///
-/// Writers follow the seqlock discipline per slot:
+/// Every write goes through an [`IndexBatch`] on the key's storage shard,
+/// which holds that shard's commit epoch odd while it is open. Inside it,
+/// writers follow the seqlock discipline per slot:
 /// 1. publish the odd version (`v+1`) in the slot — readers that observe
 ///    it fall back;
 /// 2. write the value cell (version header `v+2` plus payload) in one
 ///    region write, which is atomic with respect to simulated READs;
-/// 3. publish the full slot `{fp, v+2, off, len}`.
+/// 3. publish the full slot `{fp, v+2, off, len, shard}`.
 ///
 /// Cross-shard writers hitting the same bucket set (different keys, same
 /// set) are serialized by a per-set mutex; versions are monotonic per
@@ -178,7 +209,11 @@ struct Shadow {
 pub struct OneSidedIndex {
     slots: MemoryRegion,
     heap: MemoryRegion,
+    epochs: MemoryRegion,
     sets: Vec<Mutex<[Shadow; WAYS]>>,
+    /// Writer-side copy of each shard's epoch; an open batch holds its
+    /// shard's lock, so two batches on one shard never interleave.
+    shard_epochs: Vec<Mutex<u64>>,
 }
 
 impl std::fmt::Debug for OneSidedIndex {
@@ -192,14 +227,18 @@ impl std::fmt::Debug for OneSidedIndex {
 }
 
 impl OneSidedIndex {
-    /// Register the bucket array and value heap in `pd` (the server's
-    /// node pays registration cost and pinned-memory footprint, as the
-    /// paper's `res_util` discussion demands).
-    pub fn new(pd: &ProtectionDomain) -> Result<OneSidedIndex> {
+    /// Register the bucket array, value heap and one commit epoch per
+    /// storage shard (at least one) in `pd` (the server's node pays
+    /// registration cost and pinned-memory footprint, as the paper's
+    /// `res_util` discussion demands).
+    pub fn new(pd: &ProtectionDomain, shards: usize) -> Result<OneSidedIndex> {
+        let shards = shards.max(1);
         let slots = pd.register(NUM_SLOTS * SLOT_BYTES)?;
         let heap = pd.register(NUM_SLOTS * CELL_BYTES)?;
+        let epochs = pd.register(shards * EPOCH_BYTES)?;
         let sets = (0..NUM_SETS).map(|_| Mutex::new([Shadow::default(); WAYS])).collect();
-        Ok(OneSidedIndex { slots, heap, sets })
+        let shard_epochs = (0..shards).map(|_| Mutex::new(0)).collect();
+        Ok(OneSidedIndex { slots, heap, epochs, sets, shard_epochs })
     }
 
     /// The advert clients need to READ this index.
@@ -209,15 +248,27 @@ impl OneSidedIndex {
             num_sets: NUM_SETS as u32,
             slot_bytes: SLOT_BYTES as u32,
             value_cap: VALUE_CAP as u32,
+            shards: self.shard_epochs.len() as u32,
             slots: self.slots.remote_buf(0, NUM_SLOTS * SLOT_BYTES),
             heap: self.heap.remote_buf(0, NUM_SLOTS * CELL_BYTES),
+            epochs: self.epochs.remote_buf(0, self.shard_epochs.len() * EPOCH_BYTES),
         }
+    }
+
+    /// Open a write batch on storage shard `shard`: its epoch turns odd
+    /// now and even again when the batch drops. Hold one batch across all
+    /// of a shard transaction's writes so MultiGET sees all or none.
+    pub fn batch(&self, shard: usize) -> IndexBatch<'_> {
+        let mut epoch = self.shard_epochs[shard].lock();
+        *epoch += 1;
+        self.epochs.write(shard * EPOCH_BYTES, &epoch.to_le_bytes()).expect("epoch in bounds");
+        IndexBatch { index: self, shard, epoch }
     }
 
     /// Index (or re-index) `key` → `value`. Values above [`VALUE_CAP`]
     /// cannot be served one-sided: any existing slot for the key is
     /// invalidated instead, so readers fall back to RPC.
-    pub fn apply_put(&self, key: &[u8], value: &[u8]) {
+    fn apply_put(&self, shard: usize, key: &[u8], value: &[u8]) {
         let fp = key_fp(key);
         let set = (fp % NUM_SETS as u64) as usize;
         let mut shadow = self.sets[set].lock();
@@ -255,14 +306,15 @@ impl OneSidedIndex {
         slot[0..8].copy_from_slice(&fp.to_le_bytes());
         slot[8..16].copy_from_slice(&even.to_le_bytes());
         slot[16..24].copy_from_slice(&(cell_off as u64).to_le_bytes());
-        slot[24..32].copy_from_slice(&(value.len() as u64).to_le_bytes());
+        slot[24..28].copy_from_slice(&(value.len() as u32).to_le_bytes());
+        slot[28..32].copy_from_slice(&(shard as u32).to_le_bytes());
         self.slots.write(slot_off, &slot).expect("slot in bounds");
         sh.fp = fp;
         sh.version = even;
     }
 
     /// Drop `key` from the index (no-op if it was never indexed).
-    pub fn apply_del(&self, key: &[u8]) {
+    fn apply_del(&self, key: &[u8]) {
         let fp = key_fp(key);
         let set = (fp % NUM_SETS as u64) as usize;
         let mut shadow = self.sets[set].lock();
@@ -302,10 +354,41 @@ impl OneSidedIndex {
         true
     }
 
-    /// Deregister both regions (frees the pinned-memory footprint).
+    /// Deregister every region (frees the pinned-memory footprint).
     pub fn teardown(&self) {
         self.slots.deregister();
         self.heap.deregister();
+        self.epochs.deregister();
+    }
+}
+
+/// One storage shard's open write batch on a [`OneSidedIndex`], from
+/// [`OneSidedIndex::batch`]. Dropping it publishes the shard's next even
+/// epoch.
+pub struct IndexBatch<'a> {
+    index: &'a OneSidedIndex,
+    shard: usize,
+    epoch: parking_lot::MutexGuard<'a, u64>,
+}
+
+impl IndexBatch<'_> {
+    /// Index (or re-index) `key` → `value`, a key of this batch's shard.
+    pub fn put(&self, key: &[u8], value: &[u8]) {
+        self.index.apply_put(self.shard, key, value);
+    }
+
+    /// Drop `key` from the index (no-op if it was never indexed).
+    pub fn del(&self, key: &[u8]) {
+        self.index.apply_del(key);
+    }
+}
+
+impl Drop for IndexBatch<'_> {
+    fn drop(&mut self) {
+        *self.epoch += 1;
+        // A write racing teardown finds the region gone; readers are gone
+        // with it, so there is no epoch left to publish.
+        let _ = self.index.epochs.write(self.shard * EPOCH_BYTES, &self.epoch.to_le_bytes());
     }
 }
 
@@ -326,10 +409,16 @@ impl std::fmt::Debug for OneSidedHost {
 }
 
 impl OneSidedHost {
-    /// Register the index on `node` and start accepting advert requests
-    /// for `service`'s side-channel.
-    pub fn start(fabric: &Fabric, node: &Arc<Node>, service: &str) -> Result<OneSidedHost> {
-        let index = Arc::new(OneSidedIndex::new(&ProtectionDomain::new(node.clone()))?);
+    /// Register the index, with one commit epoch per storage shard, on
+    /// `node` and start accepting advert requests for `service`'s
+    /// side-channel.
+    pub fn start(
+        fabric: &Fabric,
+        node: &Arc<Node>,
+        service: &str,
+        shards: usize,
+    ) -> Result<OneSidedHost> {
+        let index = Arc::new(OneSidedIndex::new(&ProtectionDomain::new(node.clone()), shards)?);
         let listener = fabric.listen(node, &onesided_service(service), Default::default());
         let advert = index.advert().encode();
         let stop = Arc::new(AtomicBool::new(false));
@@ -372,6 +461,7 @@ struct SlotView {
     version: u64,
     value_off: u64,
     value_len: u64,
+    shard: usize,
 }
 
 impl SlotView {
@@ -379,7 +469,16 @@ impl SlotView {
         let u = |r: std::ops::Range<usize>| {
             u64::from_le_bytes(bytes[r].try_into().expect("range is 8 bytes"))
         };
-        SlotView { fp: u(0..8), version: u(8..16), value_off: u(16..24), value_len: u(24..32) }
+        let w = |r: std::ops::Range<usize>| {
+            u32::from_le_bytes(bytes[r].try_into().expect("range is 4 bytes"))
+        };
+        SlotView {
+            fp: u(0..8),
+            version: u(8..16),
+            value_off: u(16..24),
+            value_len: w(24..28) as u64,
+            shard: w(28..32) as usize,
+        }
     }
 }
 
@@ -417,7 +516,8 @@ impl OneSidedReader {
         let advert = OneSidedAdvert::decode(&exchange_blobs(&ep, b"onesided-hello")?)?;
         let set_bytes = (advert.ways * advert.slot_bytes) as usize;
         let cell_bytes = CELL_HDR + advert.value_cap as usize;
-        let landing = ep.pd().register(MULTIGET_BATCH * (set_bytes + cell_bytes))?;
+        let epoch_bytes = advert.epochs.len as usize;
+        let landing = ep.pd().register(MULTIGET_BATCH * (set_bytes + cell_bytes) + epoch_bytes)?;
         Ok(OneSidedReader {
             ep,
             landing,
@@ -469,42 +569,40 @@ impl OneSidedReader {
         Ok(())
     }
 
-    /// Locate `key`'s slot in a freshly READ set at `local_off`.
-    /// `Ok(slot)` has an even version and a plausible value; `Err` is the
-    /// per-key fallback classification.
-    fn find_slot(&self, local_off: usize, fp: u64) -> Result<OneSidedOutcome<SlotView>> {
-        let set = self.landing.read_vec(local_off, self.set_bytes())?;
+    /// Locate `key`'s slot in a freshly READ bucket `set`. `Ok(slot)` has
+    /// an even version and a plausible value; `Err` is the per-key
+    /// fallback classification.
+    fn find_slot(&self, set: &[u8], fp: u64) -> OneSidedOutcome<SlotView> {
         for way in 0..self.advert.ways as usize {
             let slot = SlotView::parse(&set[way * SLOT_BYTES..(way + 1) * SLOT_BYTES]);
             if slot.fp != fp {
                 continue;
             }
-            if slot.version % 2 == 1 {
-                return Ok(Err(FallbackReason::Conflict));
+            if slot.version % 2 == 1 || slot.shard >= self.advert.shards as usize {
+                return Err(FallbackReason::Conflict);
             }
             if slot.value_len > self.advert.value_cap as u64 {
-                return Ok(Err(FallbackReason::Oversized));
+                return Err(FallbackReason::Oversized);
             }
             let end = slot.value_off + CELL_HDR as u64 + slot.value_len;
             if end > self.advert.heap.len {
                 // A torn slot READ interleaved with a writer can pair an
                 // old offset with a new length; treat it as a conflict.
-                return Ok(Err(FallbackReason::Conflict));
+                return Err(FallbackReason::Conflict);
             }
-            return Ok(Ok(slot));
+            return Ok(slot);
         }
-        Ok(Err(FallbackReason::Miss))
+        Err(FallbackReason::Miss)
     }
 
-    /// Validate a value cell READ against the slot version observed
+    /// Validate a value `cell` READ against the slot version observed
     /// first; returns the value on success.
-    fn check_cell(&self, local_off: usize, slot: &SlotView) -> Result<OneSidedOutcome<Vec<u8>>> {
-        let cell = self.landing.read_vec(local_off, CELL_HDR + slot.value_len as usize)?;
+    fn check_cell(&self, cell: &[u8], slot: &SlotView) -> OneSidedOutcome<Vec<u8>> {
         let cell_version = u64::from_le_bytes(cell[0..8].try_into().expect("8 bytes"));
         if cell_version != slot.version {
-            return Ok(Err(FallbackReason::Conflict));
+            return Err(FallbackReason::Conflict);
         }
-        Ok(Ok(cell[CELL_HDR..].to_vec()))
+        Ok(cell[CELL_HDR..CELL_HDR + slot.value_len as usize].to_vec())
     }
 
     fn set_remote(&self, fp: u64) -> RemoteBuf {
@@ -520,7 +618,8 @@ impl OneSidedReader {
         let mut reason = FallbackReason::Conflict;
         for _ in 0..MAX_ATTEMPTS {
             self.post_reads(&[(0, self.set_remote(fp))])?;
-            let slot = match self.find_slot(0, fp)? {
+            let set = self.landing.read_vec(0, self.set_bytes())?;
+            let slot = match self.find_slot(&set, fp) {
                 Ok(slot) => slot,
                 Err(r) => {
                     reason = r;
@@ -533,7 +632,8 @@ impl OneSidedReader {
             };
             let cell = self.advert.heap.sub(slot.value_off, CELL_HDR as u64 + slot.value_len);
             self.post_reads(&[(self.set_bytes(), cell)])?;
-            match self.check_cell(self.set_bytes(), &slot)? {
+            let cell = self.landing.read_vec(self.set_bytes(), cell.len as usize)?;
+            match self.check_cell(&cell, &slot) {
                 Ok(value) => {
                     NodeStats::add(&node.stats().onesided_gets, 1);
                     return Ok(Ok(value));
@@ -550,79 +650,100 @@ impl OneSidedReader {
 
     /// Resolve a whole batch one-sided or not at all: chained READs give
     /// two doorbell rounds per [`MULTIGET_BATCH`] chunk (all bucket sets,
-    /// then all value cells). Any unresolvable key fails the entire call
-    /// back to RPC — partial resolution would force the caller to merge.
+    /// then all value cells), and the batch is validated as one snapshot
+    /// per shard (see the module docs), retried once on conflict. Any
+    /// unresolvable key fails the entire call back to RPC — partial
+    /// resolution would force the caller to merge.
     pub fn multiget(&mut self, keys: &[Vec<u8>]) -> Result<OneSidedOutcome<Vec<Vec<u8>>>> {
         let node = self.ep.node().clone();
-        let mut values = Vec::with_capacity(keys.len());
-        for chunk in keys.chunks(MULTIGET_BATCH) {
-            match self.multiget_chunk(chunk)? {
-                Ok(chunk_values) => values.extend(chunk_values),
-                Err(reason) => {
-                    NodeStats::add(&node.stats().onesided_fallbacks, 1);
-                    return Ok(Err(reason));
+        let mut reason = FallbackReason::Conflict;
+        for _ in 0..MAX_ATTEMPTS {
+            match self.multiget_once(keys)? {
+                Ok(values) => {
+                    NodeStats::add(&node.stats().onesided_gets, keys.len() as u64);
+                    return Ok(Ok(values));
+                }
+                Err(FallbackReason::Conflict) => {
+                    NodeStats::add(&node.stats().onesided_conflicts, 1);
+                }
+                Err(r) => {
+                    reason = r;
+                    break;
                 }
             }
         }
-        NodeStats::add(&node.stats().onesided_gets, keys.len() as u64);
-        Ok(Ok(values))
+        NodeStats::add(&node.stats().onesided_fallbacks, 1);
+        Ok(Err(reason))
     }
 
-    fn multiget_chunk(&mut self, keys: &[Vec<u8>]) -> Result<OneSidedOutcome<Vec<Vec<u8>>>> {
-        let node = self.ep.node().clone();
+    /// One MultiGET attempt. Each chunk's cell doorbell READs the shard
+    /// epochs ahead of its cells; READs on one QP land in posting order,
+    /// so that copy is taken after every set READ of the chunk and before
+    /// any of its cells. A shard batch that would tear the view (one key
+    /// read after the batch wrote it, another before) is open at one of
+    /// those instants or completes between two of them, so every touched
+    /// shard must show one even epoch in every copy.
+    fn multiget_once(&mut self, keys: &[Vec<u8>]) -> Result<OneSidedOutcome<Vec<Vec<u8>>>> {
         let set_bytes = self.set_bytes();
-        let cell_base = MULTIGET_BATCH * set_bytes;
         let cell_bytes = self.cell_bytes();
-        let fps: Vec<u64> = keys.iter().map(|k| key_fp(k)).collect();
-        let mut reason = FallbackReason::Conflict;
-        'attempt: for _ in 0..MAX_ATTEMPTS {
+        let epochs = self.advert.epochs;
+        let epoch_bytes = epochs.len as usize;
+        let epoch_off = MULTIGET_BATCH * set_bytes;
+        let cell_base = epoch_off + epoch_bytes;
+        let mut touched = vec![false; self.advert.shards as usize];
+        let mut copies = Vec::with_capacity(epoch_bytes);
+        let mut values = Vec::with_capacity(keys.len());
+        for chunk in keys.chunks(MULTIGET_BATCH) {
             // Phase 1: every bucket set, one doorbell.
-            let set_reads: Vec<(usize, RemoteBuf)> = fps
+            let fps: Vec<u64> = chunk.iter().map(|k| key_fp(k)).collect();
+            let reads: Vec<(usize, RemoteBuf)> = fps
                 .iter()
                 .enumerate()
                 .map(|(i, &fp)| (i * set_bytes, self.set_remote(fp)))
                 .collect();
-            self.post_reads(&set_reads)?;
-            let mut slots = Vec::with_capacity(keys.len());
-            for (i, &fp) in fps.iter().enumerate() {
-                match self.find_slot(i * set_bytes, fp)? {
-                    Ok(slot) => slots.push(slot),
-                    Err(r) => {
-                        reason = r;
-                        if r == FallbackReason::Conflict {
-                            NodeStats::add(&node.stats().onesided_conflicts, 1);
-                            continue 'attempt;
-                        }
-                        return Ok(Err(r));
+            self.post_reads(&reads)?;
+            let sets = self.landing.read_vec(0, chunk.len() * set_bytes)?;
+            let mut slots = Vec::with_capacity(chunk.len());
+            for (set, &fp) in sets.chunks(set_bytes).zip(&fps) {
+                match self.find_slot(set, fp) {
+                    Ok(slot) => {
+                        touched[slot.shard] = true;
+                        slots.push(slot);
                     }
+                    Err(r) => return Ok(Err(r)),
                 }
             }
-            // Phase 2: every value cell, one doorbell.
-            let cell_reads: Vec<(usize, RemoteBuf)> = slots
-                .iter()
-                .enumerate()
-                .map(|(i, s)| {
-                    (
-                        cell_base + i * cell_bytes,
-                        self.advert.heap.sub(s.value_off, CELL_HDR as u64 + s.value_len),
-                    )
-                })
-                .collect();
-            self.post_reads(&cell_reads)?;
-            let mut values = Vec::with_capacity(keys.len());
-            for (i, slot) in slots.iter().enumerate() {
-                match self.check_cell(cell_base + i * cell_bytes, slot)? {
+            // Phase 2: the shard epochs, then every value cell, one doorbell.
+            let mut reads = Vec::with_capacity(chunk.len() + 1);
+            reads.push((epoch_off, epochs));
+            reads.extend(slots.iter().enumerate().map(|(i, s)| {
+                (
+                    cell_base + i * cell_bytes,
+                    self.advert.heap.sub(s.value_off, CELL_HDR as u64 + s.value_len),
+                )
+            }));
+            self.post_reads(&reads)?;
+            let landed =
+                self.landing.read_vec(epoch_off, epoch_bytes + chunk.len() * cell_bytes)?;
+            copies.extend_from_slice(&landed[..epoch_bytes]);
+            for (cell, slot) in landed[epoch_bytes..].chunks(cell_bytes).zip(&slots) {
+                match self.check_cell(cell, slot) {
                     Ok(v) => values.push(v),
-                    Err(r) => {
-                        reason = r;
-                        NodeStats::add(&node.stats().onesided_conflicts, 1);
-                        continue 'attempt;
-                    }
+                    Err(r) => return Ok(Err(r)),
                 }
             }
-            return Ok(Ok(values));
         }
-        Ok(Err(reason))
+        let epoch = |copy: &[u8], s: usize| {
+            let word = &copy[s * EPOCH_BYTES..(s + 1) * EPOCH_BYTES];
+            u64::from_le_bytes(word.try_into().expect("8 bytes"))
+        };
+        for s in (0..touched.len()).filter(|&s| touched[s]) {
+            let first = epoch(&copies, s);
+            if first % 2 == 1 || copies.chunks(epoch_bytes).any(|copy| epoch(copy, s) != first) {
+                return Ok(Err(FallbackReason::Conflict));
+            }
+        }
+        Ok(Ok(values))
     }
 }
 
@@ -635,7 +756,7 @@ mod tests {
         let fabric = Fabric::new(SimConfig::fast_test());
         let snode = fabric.add_node("server");
         let cnode = fabric.add_node("client");
-        let host = OneSidedHost::start(&fabric, &snode, "kv").unwrap();
+        let host = OneSidedHost::start(&fabric, &snode, "kv", 1).unwrap();
         let reader = OneSidedReader::connect(&fabric, &cnode, "kv").unwrap();
         (fabric, host, reader)
     }
@@ -648,8 +769,10 @@ mod tests {
             num_sets: NUM_SETS as u32,
             slot_bytes: SLOT_BYTES as u32,
             value_cap: VALUE_CAP as u32,
+            shards: 4,
             slots: rb((NUM_SLOTS * SLOT_BYTES) as u64),
             heap: rb((NUM_SLOTS * CELL_BYTES) as u64),
+            epochs: rb(4 * EPOCH_BYTES as u64),
         };
         assert_eq!(OneSidedAdvert::decode(&advert.encode()).unwrap(), advert);
         // Truncated or geometry-inconsistent adverts are rejected.
@@ -660,20 +783,23 @@ mod tests {
         let mut short = advert;
         short.slots = rb(64);
         assert!(OneSidedAdvert::decode(&short.encode()).is_err());
+        let mut no_epochs = advert;
+        no_epochs.epochs = rb(8);
+        assert!(OneSidedAdvert::decode(&no_epochs.encode()).is_err());
     }
 
     #[test]
     fn get_hits_after_put_and_misses_after_del() {
         let (_f, host, mut reader) = host_and_reader();
         let index = host.index().clone();
-        index.apply_put(b"alpha", b"value-1");
+        index.batch(0).put(b"alpha", b"value-1");
         assert_eq!(reader.get(b"alpha").unwrap(), Ok(b"value-1".to_vec()));
         // Overwrite is visible.
-        index.apply_put(b"alpha", b"value-2");
+        index.batch(0).put(b"alpha", b"value-2");
         assert_eq!(reader.get(b"alpha").unwrap(), Ok(b"value-2".to_vec()));
         // Never-written key and deleted key both miss.
         assert_eq!(reader.get(b"ghost").unwrap(), Err(FallbackReason::Miss));
-        index.apply_del(b"alpha");
+        index.batch(0).del(b"alpha");
         assert_eq!(reader.get(b"alpha").unwrap(), Err(FallbackReason::Miss));
         host.shutdown();
     }
@@ -682,10 +808,10 @@ mod tests {
     fn oversized_values_are_not_served_one_sided() {
         let (_f, host, mut reader) = host_and_reader();
         let index = host.index().clone();
-        index.apply_put(b"big", &vec![7u8; VALUE_CAP]);
+        index.batch(0).put(b"big", &vec![7u8; VALUE_CAP]);
         assert_eq!(reader.get(b"big").unwrap(), Ok(vec![7u8; VALUE_CAP]));
         // Growing past the cap retires the slot: readers must fall back.
-        index.apply_put(b"big", &vec![8u8; VALUE_CAP + 1]);
+        index.batch(0).put(b"big", &vec![8u8; VALUE_CAP + 1]);
         assert_eq!(reader.get(b"big").unwrap(), Err(FallbackReason::Miss));
         host.shutdown();
     }
@@ -694,7 +820,7 @@ mod tests {
     fn poisoned_slot_reports_conflict_and_counts_it() {
         let (_f, host, mut reader) = host_and_reader();
         let index = host.index().clone();
-        index.apply_put(b"k", b"v");
+        index.batch(0).put(b"k", b"v");
         assert!(index.poison_slot_for_test(b"k"));
         let before = reader.ep.node().stats_snapshot();
         assert_eq!(reader.get(b"k").unwrap(), Err(FallbackReason::Conflict));
@@ -702,7 +828,7 @@ mod tests {
         assert_eq!(after.onesided_fallbacks - before.onesided_fallbacks, 1);
         assert!(after.onesided_conflicts > before.onesided_conflicts);
         // A clean re-put heals the slot.
-        index.apply_put(b"k", b"v2");
+        index.batch(0).put(b"k", b"v2");
         assert_eq!(reader.get(b"k").unwrap(), Ok(b"v2".to_vec()));
         host.shutdown();
     }
@@ -723,7 +849,7 @@ mod tests {
             i += 1;
         }
         for (n, k) in keys.iter().enumerate() {
-            index.apply_put(k, format!("v{n}").as_bytes());
+            index.batch(0).put(k, format!("v{n}").as_bytes());
         }
         // The first-inserted key was evicted (smallest version); the
         // later ones still resolve.
@@ -741,13 +867,109 @@ mod tests {
         let keys: Vec<Vec<u8>> = (0..40u8).map(|i| vec![b'k', i]).collect();
         let values: Vec<Vec<u8>> = (0..40u8).map(|i| vec![i; 100]).collect();
         for (k, v) in keys.iter().zip(&values) {
-            index.apply_put(k, v);
+            index.batch(0).put(k, v);
         }
         // 40 keys > MULTIGET_BATCH exercises chunking.
         assert_eq!(reader.multiget(&keys).unwrap(), Ok(values));
         let mut with_ghost = keys.clone();
         with_ghost.push(b"ghost".to_vec());
         assert_eq!(reader.multiget(&with_ghost).unwrap(), Err(FallbackReason::Miss));
+        host.shutdown();
+    }
+
+    fn two_shard_host_and_reader() -> (Fabric, OneSidedHost, OneSidedReader) {
+        let fabric = Fabric::new(SimConfig::fast_test());
+        let snode = fabric.add_node("server");
+        let cnode = fabric.add_node("client");
+        let host = OneSidedHost::start(&fabric, &snode, "kv", 2).unwrap();
+        let reader = OneSidedReader::connect(&fabric, &cnode, "kv").unwrap();
+        (fabric, host, reader)
+    }
+
+    #[test]
+    fn open_batch_turns_only_its_own_shard_into_a_conflict() {
+        let (_f, host, mut reader) = two_shard_host_and_reader();
+        let index = host.index().clone();
+        index.batch(0).put(b"a", b"a0");
+        index.batch(1).put(b"b", b"b0");
+        let open = index.batch(0);
+        // A MultiGET touching the open shard cannot validate, even for a
+        // key the batch has not written yet.
+        assert_eq!(reader.multiget(&[b"a".to_vec()]).unwrap(), Err(FallbackReason::Conflict));
+        assert_eq!(
+            reader.multiget(&[b"b".to_vec(), b"a".to_vec()]).unwrap(),
+            Err(FallbackReason::Conflict)
+        );
+        // The other shard is untouched; single GETs need no epoch.
+        assert_eq!(reader.multiget(&[b"b".to_vec()]).unwrap(), Ok(vec![b"b0".to_vec()]));
+        assert_eq!(reader.get(b"a").unwrap(), Ok(b"a0".to_vec()));
+        open.put(b"a", b"a1");
+        drop(open);
+        assert_eq!(
+            reader.multiget(&[b"a".to_vec(), b"b".to_vec()]).unwrap(),
+            Ok(vec![b"a1".to_vec(), b"b0".to_vec()])
+        );
+        host.shutdown();
+    }
+
+    /// A writer publishes whole-shard batches (every key of a shard gets
+    /// the round tag) while a client MultiGETs all keys, with more keys
+    /// than [`MULTIGET_BATCH`] so a call spans chunks. A resolved MultiGET
+    /// must show one tag per shard: a mixed shard is a torn batch.
+    #[test]
+    fn multiget_never_shows_a_torn_shard_batch() {
+        let (_f, host, mut reader) = two_shard_host_and_reader();
+        let index = host.index().clone();
+        let keys: Vec<Vec<u8>> = (0..40u8).map(|i| vec![b'k', i]).collect();
+        let shard = |i: usize| i % 2;
+        let write_round = |tag: u8| {
+            for s in 0..2 {
+                let batch = index.batch(s);
+                for (i, k) in keys.iter().enumerate().filter(|(i, _)| shard(*i) == s) {
+                    batch.put(k, &[tag.wrapping_add(i as u8); 64]);
+                }
+            }
+        };
+        write_round(0);
+        let stop = Arc::new(AtomicBool::new(false));
+        let writer = {
+            let index = index.clone();
+            let keys = keys.clone();
+            let stop = stop.clone();
+            std::thread::spawn(move || {
+                let mut tag = 1u8;
+                while !stop.load(Ordering::Acquire) {
+                    for s in 0..2 {
+                        let batch = index.batch(s);
+                        for (i, k) in keys.iter().enumerate().filter(|(i, _)| shard(*i) == s) {
+                            batch.put(k, &[tag.wrapping_add(i as u8); 64]);
+                        }
+                    }
+                    tag = tag.wrapping_add(1);
+                    std::thread::sleep(Duration::from_micros(300));
+                }
+            })
+        };
+        for _ in 0..300 {
+            match reader.multiget(&keys).unwrap() {
+                Ok(values) => {
+                    for s in 0..2 {
+                        let tags: Vec<u8> = (0..keys.len())
+                            .filter(|&i| shard(i) == s)
+                            .map(|i| values[i][0].wrapping_sub(i as u8))
+                            .collect();
+                        assert!(tags.iter().all(|&t| t == tags[0]), "torn shard {s}: {tags:?}");
+                    }
+                }
+                Err(FallbackReason::Conflict) => {}
+                Err(other) => panic!("unexpected fallback {other:?}"),
+            }
+        }
+        stop.store(true, Ordering::Release);
+        writer.join().unwrap();
+        write_round(9);
+        let settled = reader.multiget(&keys).unwrap().expect("quiescent index resolves");
+        assert!(settled.iter().enumerate().all(|(i, v)| v[0] == 9u8.wrapping_add(i as u8)));
         host.shutdown();
     }
 
@@ -767,7 +989,7 @@ mod tests {
     fn concurrent_writers_never_yield_torn_values() {
         let (_f, host, mut reader) = host_and_reader();
         let index = host.index().clone();
-        index.apply_put(b"hot", &[0u8; 256]);
+        index.batch(0).put(b"hot", &[0u8; 256]);
         let stop = Arc::new(AtomicBool::new(false));
         let mut writers = Vec::new();
         for w in 0..2u8 {
@@ -776,7 +998,7 @@ mod tests {
             writers.push(std::thread::spawn(move || {
                 let mut tag = w;
                 while !stop.load(Ordering::Acquire) {
-                    index.apply_put(b"hot", &[tag; 256]);
+                    index.batch(0).put(b"hot", &[tag; 256]);
                     tag = tag.wrapping_add(2);
                 }
             }));

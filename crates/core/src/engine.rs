@@ -1220,6 +1220,9 @@ pub struct HatServer {
     /// Shut down (draining in-flight state machines) *before* endpoints
     /// close — a response can only post on a live endpoint.
     reactor: Option<Reactor>,
+    /// Disconnects once the RDMA accept loop has stopped, so no
+    /// negotiated connection is still on its way to the reactor.
+    accept_stopped: crossbeam::channel::Receiver<()>,
     /// Live telemetry sampler, attached when `hat_metrics::enabled()` at
     /// serve time. Stopped *last* in [`HatServer::shutdown`] — after the
     /// serving threads join — so its final tail tick captures everything
@@ -1261,6 +1264,7 @@ impl HatServer {
         };
 
         // RDMA accept loop.
+        let (accept_running, accept_stopped) = crossbeam::channel::unbounded::<()>();
         {
             let listener = fabric.listen(node, service, Default::default());
             let shutdown = shutdown.clone();
@@ -1334,6 +1338,7 @@ impl HatServer {
                         }
                     }
                 }
+                drop(accept_running);
                 drop(pool_tx);
                 for t in conn_threads {
                     let _ = t.join();
@@ -1376,6 +1381,7 @@ impl HatServer {
             conns,
             tcp_conns,
             reactor,
+            accept_stopped,
             metrics: hat_metrics::attach_if_enabled(fabric),
         }
     }
@@ -1390,8 +1396,9 @@ impl HatServer {
     /// Stop accepting, close every live connection, and wait for the
     /// accept loops (and their serving threads) to wind down.
     ///
-    /// Under [`ServerPolicy::Reactor`] the driver drains first: every
-    /// in-flight request on a reactor connection gets its response posted
+    /// Under [`ServerPolicy::Reactor`] the accept loop stops and then the
+    /// driver drains: every in-flight request on a reactor connection,
+    /// including one negotiated just before shutdown, gets its response posted
     /// (bounded by a grace period) *before* the endpoints close — a
     /// client mid-burst sees its whole window complete, not a reset.
     ///
@@ -1401,9 +1408,7 @@ impl HatServer {
         self.shutdown.store(true, Ordering::Release);
         self.fabric.unlisten(&self.service);
         self.fabric.unlisten_ipoib(&tcp_service(&self.service));
-        if let Some(reactor) = self.reactor.take() {
-            reactor.shutdown();
-        }
+        self.stop_reactor();
         for ep in self.conns.lock().drain(..) {
             ep.close();
         }
@@ -1420,6 +1425,19 @@ impl HatServer {
             s.stop();
         }
         sampler
+    }
+
+    /// Drain the reactor once nothing can still reach it. The accept loop
+    /// registers a connection only after negotiating it, so a client can
+    /// have a burst in flight on a connection the driver has not adopted
+    /// yet; draining before the loop stops would close that connection
+    /// unanswered.
+    fn stop_reactor(&mut self) {
+        if let Some(reactor) = self.reactor.take() {
+            // Err once the loop's sender drops: it has stopped (or died).
+            let _ = self.accept_stopped.recv();
+            reactor.shutdown();
+        }
     }
 }
 
@@ -1543,9 +1561,7 @@ fn serve_connection(mut item: WorkItem, factory: &HandlerFactory) {
 impl Drop for HatServer {
     fn drop(&mut self) {
         self.shutdown.store(true, Ordering::Release);
-        if let Some(reactor) = self.reactor.take() {
-            reactor.shutdown();
-        }
+        self.stop_reactor();
         for ep in self.conns.lock().drain(..) {
             ep.close();
         }

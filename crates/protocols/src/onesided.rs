@@ -946,6 +946,8 @@ mod tests {
                         }
                     }
                     tag = tag.wrapping_add(1);
+                    // Test pacing between write rounds, not a protocol wait.
+                    #[allow(clippy::disallowed_methods)]
                     std::thread::sleep(Duration::from_micros(300));
                 }
             })

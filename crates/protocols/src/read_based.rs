@@ -17,16 +17,21 @@
 //! costlier than serving an in-bound one — emerges from the cost model's
 //! `inbound_rdma_turnaround_ns` vs the initiator-side post+doorbell+NIC
 //! charges.
+//!
+//! ## Polling
+//!
+//! The clients (and the RFP server) poll memory, not a completion queue.
+//! Busy mode checks at once and yields between misses. Event mode means
+//! "check after a wakeup": every client READ-poll, the first included, and
+//! every RFP server re-check is preceded by one modelled `event_wakeup_ns`
+//! ([`Node::event_wakeup`]), the same cost and the same yield-polling
+//! realization as a CQ in [`PollMode::Event`], and charges no simulated
+//! CPU while waiting. No wait here is an OS sleep except the long-idle nap
+//! of [`hat_rdma_sim::time::idle_backoff`].
 
-use hat_rdma_sim::{Endpoint, MemoryRegion, PollMode, RecvWr, RemoteBuf, Result, SendWr};
+use hat_rdma_sim::{Endpoint, MemoryRegion, Node, PollMode, RecvWr, RemoteBuf, Result, SendWr};
 
 use crate::common::{charge_memcpy, poll_recv, ProtocolConfig, ProtocolKind, RpcClient, RpcServer};
-
-/// Sleep between memory/READ polls when the poller is in event-ish mode
-/// (these protocols have no completion to block on, so "event polling"
-/// degrades to periodic checking — the CPU-vs-latency trade-off is the
-/// same).
-const EVENT_POLL_PAUSE: std::time::Duration = std::time::Duration::from_micros(3);
 
 /// Request channel: an eager SEND ring (client → server), used by Pilaf
 /// and FaRM whose *requests* travel as ordinary messages.
@@ -153,14 +158,49 @@ fn read_sync(
     Ok(())
 }
 
-/// Pause between poll attempts according to the polling flavour.
-fn poll_pause(poll: PollMode) {
+/// Pause before a memory or READ poll check. Event mode pays one modelled
+/// wakeup before every check ([`Node::event_wakeup`]). Busy mode checks at
+/// once and yields only before a `retry`, so the serving/producing peer can
+/// run on core-starved hosts (simulated CPU is accounted separately).
+fn poll_pause(node: &Node, poll: PollMode, retry: bool) {
     match poll {
-        PollMode::Event => std::thread::sleep(EVENT_POLL_PAUSE),
-        // Busy polling still yields so the serving/producing peer can run
-        // on core-starved hosts (simulated CPU is accounted separately).
-        PollMode::Busy => std::thread::yield_now(),
+        PollMode::Event => node.event_wakeup(),
+        PollMode::Busy if retry => std::thread::yield_now(),
+        PollMode::Busy => {}
     }
+}
+
+/// READ-poll `src` into the front of `landing` until its leading sequence
+/// word equals `want`; returns the first `N` landed bytes, sequence word
+/// included. Each READ is preceded by [`poll_pause`].
+fn poll_seq<const N: usize>(
+    ep: &Endpoint,
+    landing: &MemoryRegion,
+    src: RemoteBuf,
+    want: u64,
+    poll: PollMode,
+    timeout_ns: u64,
+) -> Result<[u8; N]> {
+    let deadline = hat_rdma_sim::now_ns() + timeout_ns;
+    let mut head = [0u8; N];
+    let mut retry = false;
+    loop {
+        poll_pause(ep.node(), poll, retry);
+        read_sync(ep, landing, 0, src, poll, timeout_ns)?;
+        landing.read(0, &mut head)?;
+        if u64_at(&head, 0) == want {
+            return Ok(head);
+        }
+        if hat_rdma_sim::now_ns() > deadline {
+            return Err(hat_rdma_sim::RdmaError::Timeout);
+        }
+        retry = true;
+    }
+}
+
+/// The little-endian `u64` at `bytes[at..at + 8]`.
+fn u64_at(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8B"))
 }
 
 // ---------------------------------------------------------------------------
@@ -233,8 +273,7 @@ impl ReadPolled {
         let want = self.seq;
         self.req.send(request)?;
         let remote = self.remote.expect("client has a remote board");
-        let timeout = self.cfg.op_timeout_ns;
-        let deadline = hat_rdma_sim::now_ns() + timeout;
+        let (poll, timeout) = (self.cfg.poll, self.cfg.op_timeout_ns);
 
         // Metadata phase. Pilaf polls the small directory word and then
         // issues a second READ for the item header (~2 metadata READs);
@@ -243,72 +282,30 @@ impl ReadPolled {
         let len = match self.meta_reads {
             MetaReads::Two => {
                 // READ #1 (polled): directory word only.
-                loop {
-                    read_sync(
-                        &self.ep,
-                        &self.landing,
-                        0,
-                        remote.meta.sub(0, 8),
-                        self.cfg.poll,
-                        timeout,
-                    )?;
-                    let seq =
-                        u64::from_le_bytes(self.landing.read_vec(0, 8)?.try_into().expect("8B"));
-                    if seq == want {
-                        break;
-                    }
-                    if hat_rdma_sim::now_ns() > deadline {
-                        return Err(hat_rdma_sim::RdmaError::Timeout);
-                    }
-                    poll_pause(self.cfg.poll);
-                }
+                poll_seq::<8>(&self.ep, &self.landing, remote.meta.sub(0, 8), want, poll, timeout)?;
                 // READ #2: the item header.
-                read_sync(
-                    &self.ep,
-                    &self.landing,
-                    0,
-                    remote.meta.sub(16, 16),
-                    self.cfg.poll,
-                    timeout,
-                )?;
-                let hdr = self.landing.read_vec(0, 16)?;
-                let seq = u64::from_le_bytes(hdr[..8].try_into().expect("8B"));
-                debug_assert_eq!(seq, want, "item header lags directory");
-                u64::from_le_bytes(hdr[8..].try_into().expect("8B")) as usize
+                read_sync(&self.ep, &self.landing, 0, remote.meta.sub(16, 16), poll, timeout)?;
+                let mut hdr = [0u8; 16];
+                self.landing.read(0, &mut hdr)?;
+                debug_assert_eq!(u64_at(&hdr, 0), want, "item header lags directory");
+                u64_at(&hdr, 8) as usize
             }
             MetaReads::One => {
                 // One polled READ of the combined 32-byte entry.
-                loop {
-                    read_sync(
-                        &self.ep,
-                        &self.landing,
-                        0,
-                        remote.meta.sub(0, 32),
-                        self.cfg.poll,
-                        timeout,
-                    )?;
-                    let entry = self.landing.read_vec(0, 32)?;
-                    let seq = u64::from_le_bytes(entry[..8].try_into().expect("8B"));
-                    if seq == want {
-                        break u64::from_le_bytes(entry[24..32].try_into().expect("8B")) as usize;
-                    }
-                    if hat_rdma_sim::now_ns() > deadline {
-                        return Err(hat_rdma_sim::RdmaError::Timeout);
-                    }
-                    poll_pause(self.cfg.poll);
-                }
+                let entry = poll_seq::<32>(
+                    &self.ep,
+                    &self.landing,
+                    remote.meta.sub(0, 32),
+                    want,
+                    poll,
+                    timeout,
+                )?;
+                u64_at(&entry, 24) as usize
             }
         };
 
         // Final READ: the payload.
-        read_sync(
-            &self.ep,
-            &self.landing,
-            0,
-            remote.payload.sub(0, len as u64),
-            self.cfg.poll,
-            timeout,
-        )?;
+        read_sync(&self.ep, &self.landing, 0, remote.payload.sub(0, len as u64), poll, timeout)?;
         self.landing.read_vec(0, len)
     }
 
@@ -384,6 +381,13 @@ read_polled_variant!(
 
 /// Header preceding RFP request/response payloads: `[seq u64, len u64]`.
 const RFP_HDR: usize = 16;
+
+fn rfp_header(seq: u64, len: usize) -> [u8; RFP_HDR] {
+    let mut hdr = [0u8; RFP_HDR];
+    hdr[..8].copy_from_slice(&seq.to_le_bytes());
+    hdr[8..].copy_from_slice(&(len as u64).to_le_bytes());
+    hdr
+}
 
 /// RFP emulation (Figure 3i): the client WRITEs `[seq, len, payload]` into
 /// a server-polled request region (in-bound RDMA — cheap for the server);
@@ -467,42 +471,29 @@ impl RpcClient for Rfp {
         let want = self.seq;
 
         // One in-bound WRITE delivers header + payload together.
-        let mut msg = Vec::with_capacity(RFP_HDR + request.len());
-        msg.extend_from_slice(&want.to_le_bytes());
-        msg.extend_from_slice(&(request.len() as u64).to_le_bytes());
-        msg.extend_from_slice(request);
-        self.req_region.write(0, &msg)?;
+        self.req_region.write(0, &rfp_header(want, request.len()))?;
+        self.req_region.write(RFP_HDR, request)?;
+        let msg_len = RFP_HDR + request.len();
         let dst = self.remote_req.expect("client knows the request region");
         self.ep.post_send(&[SendWr::write(
             1,
-            self.req_region.slice(0, msg.len()),
-            dst.sub(0, msg.len() as u64),
+            self.req_region.slice(0, msg_len),
+            dst.sub(0, msg_len as u64),
         )])?;
 
         // READ-poll the response: header + first chunk in one READ.
         let remote_resp = self.remote_resp.expect("client knows the response region");
         let first = RFP_HDR + self.first_read_payload;
-        let timeout = self.cfg.op_timeout_ns;
-        let deadline = hat_rdma_sim::now_ns() + timeout;
-        let len = loop {
-            read_sync(
-                &self.ep,
-                &self.resp_region,
-                0,
-                remote_resp.sub(0, first as u64),
-                self.cfg.poll,
-                timeout,
-            )?;
-            let hdr = self.resp_region.read_vec(0, RFP_HDR)?;
-            let seq = u64::from_le_bytes(hdr[..8].try_into().expect("8B"));
-            if seq == want {
-                break u64::from_le_bytes(hdr[8..].try_into().expect("8B")) as usize;
-            }
-            if hat_rdma_sim::now_ns() > deadline {
-                return Err(hat_rdma_sim::RdmaError::Timeout);
-            }
-            poll_pause(self.cfg.poll);
-        };
+        let (poll, timeout) = (self.cfg.poll, self.cfg.op_timeout_ns);
+        let hdr = poll_seq::<RFP_HDR>(
+            &self.ep,
+            &self.resp_region,
+            remote_resp.sub(0, first as u64),
+            want,
+            poll,
+            timeout,
+        )?;
+        let len = u64_at(&hdr, 8) as usize;
 
         // Large response: one follow-up READ for the remainder.
         if len > self.first_read_payload {
@@ -512,7 +503,7 @@ impl RpcClient for Rfp {
                 &self.resp_region,
                 RFP_HDR + self.first_read_payload,
                 remote_resp.sub((RFP_HDR + self.first_read_payload) as u64, rest as u64),
-                self.cfg.poll,
+                poll,
                 timeout,
             )?;
         }
@@ -529,11 +520,13 @@ impl RpcServer for Rfp {
         // Memory-poll the request region for the next sequence number.
         let want = self.seq + 1;
         let node = self.ep.node().clone();
+        let poll = self.cfg.poll;
         let request = {
             // Busy memory polling burns a core, just like CQ busy polling.
-            let _spin = (self.cfg.poll == PollMode::Busy).then(|| node.enter_spin());
+            let _spin = (poll == PollMode::Busy).then(|| node.enter_spin());
             let t0 = hat_rdma_sim::now_ns();
             let deadline = t0 + self.cfg.op_timeout_ns;
+            let mut hdr = [0u8; RFP_HDR];
             loop {
                 if let Some(dead) = self.ep.fault_down() {
                     return Err(hat_rdma_sim::RdmaError::QpError(format!("node '{dead}' is down")));
@@ -541,25 +534,17 @@ impl RpcServer for Rfp {
                 if !self.ep.is_alive() {
                     return Ok(false);
                 }
-                let hdr = self.req_region.read_vec(0, RFP_HDR)?;
-                let seq = u64::from_le_bytes(hdr[..8].try_into().expect("8B"));
-                if seq == want {
-                    let len = u64::from_le_bytes(hdr[8..].try_into().expect("8B")) as usize;
-                    break self.req_region.read_vec(RFP_HDR, len)?;
+                self.req_region.read(0, &mut hdr)?;
+                if u64_at(&hdr, 0) == want {
+                    break self.req_region.read_vec(RFP_HDR, u64_at(&hdr, 8) as usize)?;
                 }
                 let now = hat_rdma_sim::now_ns();
                 if now > deadline {
                     return Err(hat_rdma_sim::RdmaError::Timeout);
                 }
-                // Adaptive backoff for long-idle connections (see
-                // `CompletionQueue::poll_timeout`): hot polling keeps
-                // yielding, but a connection with no traffic for a while
-                // naps so it stops starving active threads on small hosts.
-                if now - t0 > 300_000 {
-                    std::thread::sleep(std::time::Duration::from_micros(30));
-                } else {
-                    poll_pause(self.cfg.poll);
-                }
+                // A connection with no traffic for a while naps instead,
+                // so it stops starving active threads on small hosts.
+                hat_rdma_sim::time::idle_backoff(now - t0, || poll_pause(&node, poll, true));
             }
         };
         self.seq = want;
@@ -567,10 +552,7 @@ impl RpcServer for Rfp {
 
         // Publish: payload first, header (with fresh seq) last.
         self.resp_region.write(RFP_HDR, &response)?;
-        let mut hdr = [0u8; RFP_HDR];
-        hdr[..8].copy_from_slice(&want.to_le_bytes());
-        hdr[8..].copy_from_slice(&(response.len() as u64).to_le_bytes());
-        self.resp_region.write(0, &hdr)?;
+        self.resp_region.write(0, &rfp_header(want, response.len()))?;
         Ok(true)
     }
 
@@ -600,43 +582,49 @@ mod tests {
         run_echo_calls(ProtocolKind::Rfp, &[8, 512, 65536]);
     }
 
+    const POLL_MODES: [PollMode; 2] = [PollMode::Busy, PollMode::Event];
+
     /// The server-bypass property: Pilaf/FaRM/RFP responses cost the
-    /// server zero posted work requests.
+    /// server zero posted work requests, in either poll mode.
     #[test]
     fn responses_are_server_bypass() {
-        for kind in [ProtocolKind::Pilaf, ProtocolKind::Farm] {
-            let (mut client, mut server) =
-                echo_pair(kind, ProtocolConfig { max_msg: 4096, ..Default::default() });
-            let h = std::thread::spawn(move || {
-                server.serve_one(&mut |r| r.to_vec()).unwrap();
-                server
-            });
-            let before = client.node().stats_snapshot();
-            client.call(&[9u8; 100]).unwrap();
-            let server = h.join().unwrap();
-            let s = server.node().stats_snapshot();
-            // The only server WR ever posted is the one handshake SEND.
-            assert_eq!(s.wrs_posted, 1, "{kind}: server posts nothing beyond the handshake");
-            assert!(s.inbound_rdma >= 2, "{kind}: client READs are in-bound at the server");
-            let _ = before;
+        for poll in POLL_MODES {
+            for kind in [ProtocolKind::Pilaf, ProtocolKind::Farm] {
+                let (mut client, mut server) =
+                    echo_pair(kind, ProtocolConfig { poll, max_msg: 4096, ..Default::default() });
+                let h = std::thread::spawn(move || {
+                    server.serve_one(&mut |r| r.to_vec()).unwrap();
+                    server
+                });
+                client.call(&[9u8; 100]).unwrap();
+                let server = h.join().unwrap();
+                let s = server.node().stats_snapshot();
+                // The only server WR ever posted is the one handshake SEND.
+                assert_eq!(s.wrs_posted, 1, "{kind} {poll:?}: server posts only the handshake");
+                assert!(s.inbound_rdma >= 2, "{kind} {poll:?}: client READs are in-bound");
+            }
         }
     }
 
     /// RFP's request is also server-bypass (an in-bound WRITE) — the
-    /// server's only activity is CPU memory polling.
+    /// server's only activity is CPU memory polling, in either poll mode.
     #[test]
     fn rfp_server_posts_nothing() {
-        let (mut client, mut server) =
-            echo_pair(ProtocolKind::Rfp, ProtocolConfig { max_msg: 2048, ..Default::default() });
-        let h = std::thread::spawn(move || {
-            server.serve_one(&mut |r| r.to_vec()).unwrap();
-            server
-        });
-        client.call(&[1u8; 256]).unwrap();
-        let server = h.join().unwrap();
-        // One handshake SEND, nothing else: both request and response paths
-        // bypass the server NIC posting entirely.
-        assert_eq!(server.node().stats_snapshot().wrs_posted, 1);
+        for poll in POLL_MODES {
+            let (mut client, mut server) = echo_pair(
+                ProtocolKind::Rfp,
+                ProtocolConfig { poll, max_msg: 2048, ..Default::default() },
+            );
+            let h = std::thread::spawn(move || {
+                server.serve_one(&mut |r| r.to_vec()).unwrap();
+                server
+            });
+            client.call(&[1u8; 256]).unwrap();
+            let server = h.join().unwrap();
+            // One handshake SEND, nothing else: both request and response
+            // paths bypass the server NIC posting entirely.
+            assert_eq!(server.node().stats_snapshot().wrs_posted, 1, "{poll:?}");
+        }
     }
 
     /// Pilaf issues more READs per call than FaRM (3 vs 2 at minimum).
@@ -685,11 +673,13 @@ mod tests {
 
     #[test]
     fn servers_see_disconnect() {
-        for kind in [ProtocolKind::Pilaf, ProtocolKind::Farm, ProtocolKind::Rfp] {
-            let (client, mut server) =
-                echo_pair(kind, ProtocolConfig { max_msg: 512, ..Default::default() });
-            drop(client);
-            assert!(!server.serve_one(&mut |r| r.to_vec()).unwrap(), "{kind}");
+        for poll in POLL_MODES {
+            for kind in [ProtocolKind::Pilaf, ProtocolKind::Farm, ProtocolKind::Rfp] {
+                let (client, mut server) =
+                    echo_pair(kind, ProtocolConfig { poll, max_msg: 512, ..Default::default() });
+                drop(client);
+                assert!(!server.serve_one(&mut |r| r.to_vec()).unwrap(), "{kind} {poll:?}");
+            }
         }
     }
 }

@@ -102,13 +102,30 @@ proptest! {
     }
 
     #[test]
+    fn rfp_event_polling_echoes_including_second_read(
+        p in payloads(),
+        big in prop::collection::vec(any::<u8>(), 1025..9000),
+    ) {
+        // A response above RFP's 1 KB first READ needs the follow-up READ.
+        let mut p = p;
+        p.push(big);
+        echo_sequence(ProtocolKind::Rfp, PollMode::Event, &p);
+    }
+
+    #[test]
     fn herd_echoes_arbitrary_payloads(p in payloads()) {
         echo_sequence(ProtocolKind::Herd, PollMode::Busy, &p);
     }
 
     #[test]
     fn event_polling_echoes_too(p in payloads()) {
-        echo_sequence(ProtocolKind::EagerSendRecv, PollMode::Event, &p);
-        echo_sequence(ProtocolKind::DirectWriteImm, PollMode::Event, &p);
+        for kind in [
+            ProtocolKind::EagerSendRecv,
+            ProtocolKind::DirectWriteImm,
+            ProtocolKind::Pilaf,
+            ProtocolKind::Farm,
+        ] {
+            echo_sequence(kind, PollMode::Event, &p);
+        }
     }
 }

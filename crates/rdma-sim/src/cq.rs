@@ -7,9 +7,11 @@
 //!
 //! * [`PollMode::Busy`] genuinely spins, registered as an active spinner on
 //!   the CQ's node (so over-subscription inflates everyone's CPU charges),
-//! * [`PollMode::Event`] parks on a condition variable with timed waits
-//!   sized by the next known deadline, charges the configured
-//!   interrupt/wakeup latency on delivery, and burns no CPU while blocked.
+//! * [`PollMode::Event`] delivers a completion `event_wakeup_ns` (the
+//!   modelled interrupt/wakeup latency) after it is ready and burns no
+//!   simulated CPU while waiting; the wait is realized by yield-polling,
+//!   with a condvar nap only once the waiter has been idle for
+//!   [`time::IDLE_BACKOFF_AFTER_NS`].
 
 use std::collections::BinaryHeap;
 use std::sync::{Arc, Weak};
@@ -19,7 +21,7 @@ use parking_lot::{Condvar, Mutex};
 use crate::error::{RdmaError, Result};
 use crate::node::Node;
 use crate::stats::NodeStats;
-use crate::time::now_ns;
+use crate::time::{self, now_ns};
 use crate::wr::Opcode;
 
 /// Completion status, mirroring the `ibv_wc_status` values the protocols
@@ -317,16 +319,11 @@ impl CompletionQueue {
                 // Spin: counts as an active CPU burner on this node.
                 let _spin = node.enter_spin();
                 let start = now_ns();
-                // Adaptive backoff: a poller that has been dry for a while
-                // (an idle server connection) briefly sleeps between
-                // checks so it stops starving *active* threads on hosts
-                // with fewer cores than simulated pollers. The threshold
-                // is far above any in-flight RPC's completion time, so
-                // hot-path latency is unaffected; simulated CPU is still
-                // accounted for the full window (a real busy poller burns
-                // its core whether or not messages arrive).
-                const IDLE_BACKOFF_AFTER_NS: u64 = 300_000;
-                const IDLE_NAP: std::time::Duration = std::time::Duration::from_micros(30);
+                // Adaptive backoff (`time::IDLE_BACKOFF_AFTER_NS`): a
+                // poller that has been dry for a while briefly naps
+                // between checks. Simulated CPU is still accounted for
+                // the full window (a real busy poller burns its core
+                // whether or not messages arrive).
                 loop {
                     node.drain_effects();
                     let now = now_ns();
@@ -352,13 +349,13 @@ impl CompletionQueue {
                         NodeStats::add(&node.stats().cpu_busy_ns, now - start);
                         return Err(RdmaError::Timeout);
                     }
-                    if now - start > IDLE_BACKOFF_AFTER_NS {
+                    if now - start > time::IDLE_BACKOFF_AFTER_NS {
                         // Nap on the condvar while still holding the heap
                         // lock up to the wait: a push from another thread
                         // cannot slip in between the dry check and the
                         // park (it would either be seen by the peek or
                         // notify the wait), so no wakeup is ever lost.
-                        self.inner.cond.wait_for(&mut guard, IDLE_NAP);
+                        self.inner.cond.wait_for(&mut guard, time::IDLE_NAP);
                         drop(guard);
                     } else {
                         drop(guard);
@@ -426,8 +423,8 @@ impl CompletionQueue {
                     // heap lock, so a push racing with the dry check
                     // either lands before the peek or notifies the wait —
                     // the wakeup cannot be lost.
-                    if now - start > 300_000 {
-                        self.inner.cond.wait_for(&mut guard, std::time::Duration::from_micros(30));
+                    if now - start > time::IDLE_BACKOFF_AFTER_NS {
+                        self.inner.cond.wait_for(&mut guard, time::IDLE_NAP);
                         drop(guard);
                     } else {
                         drop(guard);

@@ -16,7 +16,7 @@ use parking_lot::{Condvar, Mutex};
 use crate::error::{RdmaError, Result};
 use crate::node::Node;
 use crate::stats::NodeStats;
-use crate::time::now_ns;
+use crate::time::{self, now_ns};
 
 /// One direction of the stream: chunks with visibility deadlines.
 struct StreamDir {
@@ -151,11 +151,7 @@ impl IpoibStream {
             if waited > READ_TIMEOUT_NS {
                 return Err(RdmaError::Timeout);
             }
-            if waited > 300_000 {
-                std::thread::sleep(std::time::Duration::from_micros(30));
-            } else {
-                std::thread::yield_now();
-            }
+            time::idle_backoff(waited, std::thread::yield_now);
         }
     }
 

@@ -291,6 +291,18 @@ impl Node {
         NodeStats::add(&self.stats.cpu_busy_ns, eff);
     }
 
+    /// Wait out one event-mode wakeup (`event_wakeup_ns`: interrupt,
+    /// context switch, thread wakeup) in modelled time, for pollers that
+    /// have no completion to block on. Like [`PollMode::Event`] on a CQ,
+    /// the wait is realized by yield-polling, not an OS sleep whose timer
+    /// slack would swamp the modelled microseconds, and the thread is not
+    /// registered as a spinner: a parked thread burns no simulated CPU.
+    ///
+    /// [`PollMode::Event`]: crate::PollMode::Event
+    pub fn event_wakeup(&self) {
+        spin_for(self.config.scaled(self.config.cost.event_wakeup_ns));
+    }
+
     // ---- memory-region registry -----------------------------------------
 
     pub(crate) fn remember_mr(&self, rkey: u64, mr: &Arc<MrInner>) {
@@ -550,6 +562,17 @@ mod tests {
         let n = node();
         n.charge_cpu(10_000);
         assert!(n.stats_snapshot().cpu_busy_ns > 0);
+    }
+
+    #[test]
+    fn event_wakeup_waits_the_modelled_wakeup_and_charges_no_cpu() {
+        let n = node();
+        let wake = n.config().scaled(n.config().cost.event_wakeup_ns);
+        assert!(wake > 0);
+        let start = now_ns();
+        n.event_wakeup();
+        assert!(now_ns() - start >= wake);
+        assert_eq!(n.stats_snapshot().cpu_busy_ns, 0, "a parked thread burns no simulated CPU");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! overlap) honest while the cost model controls the magnitudes.
 
 use std::sync::OnceLock;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 static EPOCH: OnceLock<Instant> = OnceLock::new();
 
@@ -43,6 +43,30 @@ pub fn spin_for(dur_ns: u64) {
         return;
     }
     spin_until(now_ns() + dur_ns);
+}
+
+/// How long a waiter may find nothing before it starts napping.
+///
+/// Far above any in-flight RPC's completion time, so hot-path latency is
+/// unaffected; only long-idle waiters (an idle server connection) back
+/// off, and they stop starving *active* threads on hosts with fewer cores
+/// than simulated pollers.
+pub const IDLE_BACKOFF_AFTER_NS: u64 = 300_000;
+
+/// The nap a long-idle waiter takes between checks.
+pub const IDLE_NAP: Duration = Duration::from_micros(30);
+
+/// Pause between checks of a waiter that has been dry for `dry_ns`: nap
+/// [`IDLE_NAP`] once past [`IDLE_BACKOFF_AFTER_NS`], else run `hot`, the
+/// waiter's usual pause. For waiters with nothing to block on; a waiter
+/// that holds a condition variable's lock naps on the condvar instead.
+#[inline]
+pub fn idle_backoff(dry_ns: u64, hot: impl FnOnce()) {
+    if dry_ns > IDLE_BACKOFF_AFTER_NS {
+        std::thread::sleep(IDLE_NAP);
+    } else {
+        hot();
+    }
 }
 
 #[cfg(test)]

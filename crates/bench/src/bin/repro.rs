@@ -1,7 +1,10 @@
-//! `repro` — regenerate the paper's figures as text tables.
+//! `repro` — regenerate the paper's figures as text tables, and run the
+//! gated sweep benches.
 //!
 //! ```text
 //! repro <fig4|fig5|fig11|fig12|fig13|fig14|fig15|fig16|fig17|micro|all> [--full] [--tsv]
+//! repro bench <pipeline|shards|onesided|connections|txn> [--full] [--check]
+//!                            # one sweep -> BENCH_<name>.json (+ METRICS_<name>.json)
 //! repro trace [--out FILE]    # capture a traced micro run (Chrome trace JSON)
 //! repro stats [--json]       # per-node sim counters + latency histograms
 //! repro metrics [--out FILE] [--json-out FILE] [--check]
@@ -10,45 +13,159 @@
 //!                            # live terminal telemetry dashboard
 //! ```
 //!
-//! `--full` enlarges sweeps toward the paper's axes; `--tsv` emits
-//! tab-separated values (for EXPERIMENTS.md appendices) instead of
-//! aligned tables.
+//! `--full` enlarges the figures' sweeps toward the paper's axes (for
+//! `bench pipeline`: 128 iterations per point instead of 48); `--tsv` emits tab-separated
+//! values (for EXPERIMENTS.md appendices) instead of aligned tables.
+//! `bench --check` exits 1 when the bench fails one of its gates
+//! (`hat_bench::sweep::BENCHES`). An unknown flag or target, or a flag
+//! that no chosen target reads, prints the usage and exits 2.
 
+use hat_bench::sweep::{self, Bench};
 use hat_bench::{Scale, Table};
 
-fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let full = args.iter().any(|a| a == "--full");
-    let tsv = args.iter().any(|a| a == "--tsv");
-    let json = args.iter().any(|a| a == "--json");
-    let check = args.iter().any(|a| a == "--check");
-    fn take_flag_value(name: &str, args: &mut Vec<String>) -> Option<String> {
-        match args.iter().position(|a| a == name) {
-            Some(i) if i + 1 < args.len() => {
-                let file = args.remove(i + 1);
-                args.remove(i);
-                Some(file)
-            }
-            Some(_) => {
-                eprintln!("repro: {name} needs an argument");
-                std::process::exit(2);
-            }
-            None => None,
+const USAGE: &str = "\
+usage: repro <fig4|fig5|fig11|fig12|fig13|fig14|fig15|fig16|fig17|micro|all> [--full] [--tsv]
+       repro bench <pipeline|shards|onesided|connections|txn> [--full] [--check]
+       repro trace [--out FILE]
+       repro stats [--json]
+       repro metrics [--out FILE] [--json-out FILE] [--check]
+       repro top [--frames N] [--interval-ms N]";
+
+type Figure = fn(Scale) -> Table;
+
+/// The paper's figures, in `all` order.
+const FIGURES: [(&str, Figure); 10] = [
+    ("fig4", hat_bench::fig04_protocol_latency),
+    ("fig5", hat_bench::fig05_protocol_throughput),
+    ("fig11", hat_bench::fig11_atb_latency),
+    ("fig12", hat_bench::fig12_atb_throughput),
+    ("fig13", hat_bench::fig13_mix),
+    ("fig14", hat_bench::fig14_mix),
+    ("fig15", hat_bench::fig15_ycsb),
+    ("fig16", hat_bench::fig16_ycsb),
+    ("fig17", hat_bench::fig17_tpch),
+    ("micro", |_| hat_bench::micro_section3()),
+];
+
+const TOOLS: [&str; 5] = ["all", "trace", "stats", "metrics", "top"];
+
+#[derive(Default)]
+struct Args {
+    full: bool,
+    tsv: bool,
+    json: bool,
+    check: bool,
+    out: Option<String>,
+    json_out: Option<String>,
+    frames: Option<u64>,
+    interval_ms: Option<u64>,
+    /// Targets to run in order, unless `bench` is set.
+    targets: Vec<String>,
+    bench: Option<&'static Bench>,
+}
+
+/// Whether `target` (a sweep bench as `bench <name>`) reads `flag`.
+fn reads(target: &str, flag: &str) -> bool {
+    let figure = target == "all" || FIGURES.iter().any(|(name, _)| *name == target);
+    match flag {
+        // `micro` has one size, and of the benches only pipeline scales.
+        "--full" => (figure && target != "micro") || target == "bench pipeline",
+        "--tsv" => figure || target == "stats",
+        "--json" => target == "stats",
+        "--check" => target == "metrics" || target.starts_with("bench "),
+        "--out" => target == "trace" || target == "metrics",
+        "--json-out" => target == "metrics",
+        "--frames" | "--interval-ms" => target == "top",
+        _ => false,
+    }
+}
+
+/// Parse the command line; `Err` names the first thing not understood,
+/// including a flag that no chosen target reads.
+fn parse(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
+    let mut args = Args::default();
+    let mut flags = Vec::new();
+    let mut argv = argv.into_iter();
+    while let Some(arg) = argv.next() {
+        if arg.starts_with("--") {
+            flags.push(arg.clone());
+        }
+        let mut value = || argv.next().ok_or(format!("{arg} needs an argument"));
+        let number = |v: String| v.parse().map_err(|_| format!("{arg} wants an integer"));
+        match arg.as_str() {
+            "--full" => args.full = true,
+            "--tsv" => args.tsv = true,
+            "--json" => args.json = true,
+            "--check" => args.check = true,
+            "--out" => args.out = Some(value()?),
+            "--json-out" => args.json_out = Some(value()?),
+            "--frames" => args.frames = Some(number(value()?)?),
+            "--interval-ms" => args.interval_ms = Some(number(value()?)?),
+            flag if flag.starts_with("--") => return Err(format!("unknown flag '{flag}'")),
+            _ => args.targets.push(arg),
         }
     }
-    let out_flag = take_flag_value("--out", &mut args);
-    let json_out = take_flag_value("--json-out", &mut args);
-    let frames: usize = take_flag_value("--frames", &mut args)
-        .map_or(3, |v| v.parse().expect("--frames wants an integer"));
-    let interval_ms: u64 = take_flag_value("--interval-ms", &mut args)
-        .map_or(100, |v| v.parse().expect("--interval-ms wants an integer"));
-    let scale = Scale::from_flag(full);
-    let which: Vec<&str> =
-        args.iter().filter(|a| !a.starts_with("--")).map(String::as_str).collect();
-    let which = if which.is_empty() { vec!["all"] } else { which };
+    let known = |t: &str| TOOLS.contains(&t) || FIGURES.iter().any(|(name, _)| *name == t);
+    if args.targets.first().is_some_and(|t| t == "bench") {
+        let [_, name] = args.targets.as_slice() else {
+            return Err("bench takes exactly one bench name".to_string());
+        };
+        args.bench = Some(sweep::bench(name).ok_or(format!("unknown bench '{name}'"))?);
+    } else if let Some(t) = args.targets.iter().find(|t| !known(t)) {
+        return Err(format!("unknown target '{t}'"));
+    } else if args.targets.is_empty() {
+        args.targets.push("all".to_string());
+    }
+    let runs = match args.bench {
+        Some(bench) => vec![format!("bench {}", bench.name)],
+        None => args.targets.clone(),
+    };
+    if let Some(flag) = flags.iter().find(|f| !runs.iter().any(|t| reads(t, f))) {
+        return Err(format!("{flag} does nothing for {}", runs.join(" ")));
+    }
+    Ok(args)
+}
 
+/// Write `contents` to `path`, or exit 1.
+fn write_or_exit(path: &str, contents: &str) {
+    std::fs::write(path, contents).unwrap_or_else(|e| {
+        eprintln!("repro: cannot write {path}: {e}");
+        std::process::exit(1);
+    });
+}
+
+/// Run one sweep bench, write its record, and enforce its gates when
+/// `check` is set.
+fn run_bench(bench: &Bench, scale: Scale, check: bool) {
+    let record = (bench.run)(scale);
+    let paths = record.write(bench).unwrap_or_else(|e| {
+        eprintln!("repro: cannot write {}: {e}", bench.record_path());
+        std::process::exit(1);
+    });
+    eprintln!("repro: wrote {}", paths.join(", "));
+    for (key, value) in &record.summary {
+        println!("{}: {key} = {value}", bench.name);
+    }
+    if check {
+        let failures = bench.failures(&record.summary);
+        for failure in &failures {
+            eprintln!("repro: bench {} FAILED: {failure}", bench.name);
+        }
+        if !failures.is_empty() {
+            std::process::exit(1);
+        }
+        eprintln!("repro: bench {}: all {} gates passed", bench.name, bench.gates.len());
+    }
+}
+
+fn main() {
+    let args = parse(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("repro: {e}\n{USAGE}");
+        std::process::exit(2);
+    });
+    let scale = if args.full { Scale::Full } else { Scale::Quick };
     let print = |t: Table| {
-        if tsv {
+        if args.tsv {
             println!("# {}", t.title());
             print!("{}", t.to_tsv());
         } else {
@@ -70,25 +187,17 @@ fn main() {
         }
     });
 
-    for target in which {
-        match target {
-            "fig4" => print(hat_bench::fig04_protocol_latency(scale)),
-            "fig5" => print(hat_bench::fig05_protocol_throughput(scale)),
-            "fig11" => print(hat_bench::fig11_atb_latency(scale)),
-            "fig12" => print(hat_bench::fig12_atb_throughput(scale)),
-            "fig13" => print(hat_bench::fig13_mix(scale)),
-            "fig14" => print(hat_bench::fig14_mix(scale)),
-            "fig15" => print(hat_bench::fig15_ycsb(scale)),
-            "fig16" => print(hat_bench::fig16_ycsb(scale)),
-            "fig17" => print(hat_bench::fig17_tpch(scale)),
-            "micro" => print(hat_bench::micro_section3()),
+    if let Some(bench) = args.bench {
+        run_bench(bench, scale, args.check);
+        return;
+    }
+    for target in &args.targets {
+        match target.as_str() {
+            "all" => FIGURES.iter().for_each(|(_, figure)| print(figure(scale))),
             "trace" => {
-                let trace_out = out_flag.clone().unwrap_or_else(|| "TRACE_micro.json".to_string());
+                let trace_out = args.out.clone().unwrap_or_else(|| "TRACE_micro.json".to_string());
                 let trace = hat_bench::capture_micro_trace();
-                std::fs::write(&trace_out, &trace.json).unwrap_or_else(|e| {
-                    eprintln!("repro: cannot write {trace_out}: {e}");
-                    std::process::exit(1);
-                });
+                write_or_exit(&trace_out, &trace.json);
                 eprintln!(
                     "repro: wrote {} ({} events, {} histogram rows) — open in ui.perfetto.dev",
                     trace_out,
@@ -98,7 +207,7 @@ fn main() {
             }
             "stats" => {
                 let trace = hat_bench::capture_micro_trace();
-                if json {
+                if args.json {
                     println!("{}", hat_bench::stats_json(&trace.fabric, &trace.latency));
                 } else {
                     let mut table = Table::new(
@@ -132,21 +241,15 @@ fn main() {
             }
             "metrics" => {
                 let metrics_out =
-                    out_flag.clone().unwrap_or_else(|| "METRICS_micro.prom".to_string());
+                    args.out.clone().unwrap_or_else(|| "METRICS_micro.prom".to_string());
                 let m = hat_bench::capture_micro_metrics();
-                std::fs::write(&metrics_out, &m.prometheus).unwrap_or_else(|e| {
-                    eprintln!("repro: cannot write {metrics_out}: {e}");
-                    std::process::exit(1);
-                });
+                write_or_exit(&metrics_out, &m.prometheus);
                 eprintln!("repro: wrote {metrics_out} ({} ticks, {} ops sampled)", m.ticks, m.ops);
-                if let Some(path) = &json_out {
-                    std::fs::write(path, &m.timeline).unwrap_or_else(|e| {
-                        eprintln!("repro: cannot write {path}: {e}");
-                        std::process::exit(1);
-                    });
+                if let Some(path) = &args.json_out {
+                    write_or_exit(path, &m.timeline);
                     eprintln!("repro: wrote {path} (hat-metrics-timeline-v1)");
                 }
-                if check {
+                if args.check {
                     if let Err(e) = hat_metrics::export::validate_exposition(&m.prometheus) {
                         eprintln!("repro: exposition check FAILED: {e}");
                         std::process::exit(1);
@@ -155,32 +258,52 @@ fn main() {
                 }
             }
             "top" => {
-                let interval = std::time::Duration::from_millis(interval_ms);
-                for frame in hat_bench::top_frames(frames, interval) {
+                let interval = std::time::Duration::from_millis(args.interval_ms.unwrap_or(100));
+                for frame in hat_bench::top_frames(args.frames.unwrap_or(3) as usize, interval) {
                     println!("{frame}");
                     use std::io::Write as _;
                     let _ = std::io::stdout().flush();
                 }
             }
-            "all" => {
-                print(hat_bench::fig04_protocol_latency(scale));
-                print(hat_bench::fig05_protocol_throughput(scale));
-                print(hat_bench::fig11_atb_latency(scale));
-                print(hat_bench::fig12_atb_throughput(scale));
-                print(hat_bench::fig13_mix(scale));
-                print(hat_bench::fig14_mix(scale));
-                print(hat_bench::fig15_ycsb(scale));
-                print(hat_bench::fig16_ycsb(scale));
-                print(hat_bench::fig17_tpch(scale));
-                print(hat_bench::micro_section3());
+            figure => {
+                let (_, run) = FIGURES.iter().find(|(name, _)| *name == figure).expect("known");
+                print(run(scale));
             }
-            other => {
-                eprintln!("repro: unknown target '{other}'");
-                eprintln!(
-                    "usage: repro <fig4|fig5|fig11|fig12|fig13|fig14|fig15|fig16|fig17|micro|all> [--full] [--tsv]\n       repro trace [--out FILE]\n       repro stats [--json]\n       repro metrics [--out FILE] [--json-out FILE] [--check]\n       repro top [--frames N] [--interval-ms N]"
-                );
-                std::process::exit(2);
-            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_line(line: &str) -> Result<Args, String> {
+        parse(line.split_whitespace().map(String::from))
+    }
+
+    #[test]
+    fn every_flag_is_accepted_where_it_is_read() {
+        for line in [
+            "",
+            "--full --tsv",
+            "fig4 fig17 --full --tsv",
+            "micro --tsv",
+            "bench pipeline --full --check",
+            "bench txn --check",
+            "trace --out t.json",
+            "stats --json",
+            "metrics --out m.prom --json-out m.json --check",
+            "top --frames 2 --interval-ms 5",
+        ] {
+            assert!(parse_line(line).is_ok(), "repro {line}: {:?}", parse_line(line).err());
+        }
+    }
+
+    #[test]
+    fn a_flag_no_target_reads_is_rejected() {
+        for line in ["fig4 --check", "bench txn --out x", "bench shards --full", "micro --full"] {
+            let err = parse_line(line).err().unwrap_or_else(|| panic!("repro {line} parsed"));
+            assert!(err.contains("does nothing"), "repro {line}: {err}");
         }
     }
 }

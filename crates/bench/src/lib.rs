@@ -20,6 +20,7 @@
 
 pub mod metrics_bench;
 pub mod protocol_bench;
+pub mod sweep;
 pub mod table;
 pub mod trace_bench;
 pub mod ycsb_bench;
@@ -30,7 +31,9 @@ use hat_rdma_sim::{Fabric, PollMode, SimConfig};
 use hat_tpch::{ClusterConfig, TpchCluster, TransportMode};
 
 pub use metrics_bench::{capture_micro_metrics, top_frames, MicroMetrics};
-pub use protocol_bench::{raw_latency, raw_throughput, RawLatencyPoint, RawThroughputPoint};
+pub use protocol_bench::{
+    raw_latency, raw_latency_in_fabric, raw_throughput, RawLatencyPoint, RawThroughputPoint,
+};
 pub use table::Table;
 pub use trace_bench::{capture_micro_trace, latency_json, stats_json, MicroTrace};
 pub use ycsb_bench::{run_ycsb, run_ycsb_sampled, KvSystem, KvWorkload, YcsbConfig, YcsbPoint};
@@ -42,17 +45,6 @@ pub enum Scale {
     Quick,
     /// Larger sweeps approaching the paper's axes.
     Full,
-}
-
-impl Scale {
-    /// Parse from a CLI flag.
-    pub fn from_flag(full: bool) -> Scale {
-        if full {
-            Scale::Full
-        } else {
-            Scale::Quick
-        }
-    }
 }
 
 /// The nine protocols of Figure 3/4 (HERD and the hybrid are §5-only).
@@ -72,13 +64,9 @@ pub fn figure4_protocols() -> Vec<ProtocolKind> {
 
 /// Fig. 4: protocol latency across payload sizes and polling modes.
 pub fn fig04_protocol_latency(scale: Scale) -> Table {
-    let sizes: Vec<usize> = match scale {
-        Scale::Quick => vec![16, 512, 4096, 65536],
-        Scale::Full => vec![4, 64, 512, 4096, 32768, 131072, 524288],
-    };
-    let iters = match scale {
-        Scale::Quick => 20,
-        Scale::Full => 50,
+    let (sizes, iters) = match scale {
+        Scale::Quick => (vec![16, 512, 4096, 65536], 20),
+        Scale::Full => (vec![4, 64, 512, 4096, 32768, 131072, 524288], 50),
     };
     let mut table = Table::new(
         "Figure 4 — RPC-like latency of RDMA protocols (us)",
@@ -103,15 +91,11 @@ pub fn fig04_protocol_latency(scale: Scale) -> Table {
 
 /// Fig. 5: protocol throughput across client counts.
 pub fn fig05_protocol_throughput(scale: Scale) -> Table {
-    let clients: Vec<usize> = match scale {
-        Scale::Quick => vec![1, 4, 16, 32],
-        Scale::Full => vec![1, 4, 16, 32, 64, 128],
+    let (clients, iters) = match scale {
+        Scale::Quick => (vec![1, 4, 16, 32], 10),
+        Scale::Full => (vec![1, 4, 16, 32, 64, 128], 24),
     };
     let sizes = [512usize, 131072];
-    let iters = match scale {
-        Scale::Quick => 10,
-        Scale::Full => 24,
-    };
     // The head-to-head subset the paper's Figure 5 highlights.
     let protocols = [
         ProtocolKind::EagerSendRecv,
@@ -143,9 +127,10 @@ pub fn fig05_protocol_throughput(scale: Scale) -> Table {
     table
 }
 
-/// The four baselines Figures 11–14 plot against HatRPC.
-fn atb_baselines() -> Vec<Mode> {
+/// HatRPC and the four baselines Figures 11–14 plot against it.
+fn atb_modes() -> Vec<Mode> {
     vec![
+        Mode::HatRpc,
         Mode::Fixed(ProtocolKind::HybridEagerRndv, PollMode::Busy),
         Mode::Fixed(ProtocolKind::DirectWriteSend, PollMode::Busy),
         Mode::Fixed(ProtocolKind::DirectWriteImm, PollMode::Busy),
@@ -155,21 +140,15 @@ fn atb_baselines() -> Vec<Mode> {
 
 /// Fig. 11: ATB latency — HatRPC (service-level hints) vs baselines.
 pub fn fig11_atb_latency(scale: Scale) -> Table {
-    let sizes: Vec<usize> = match scale {
-        Scale::Quick => vec![64, 512, 4096, 65536],
-        Scale::Full => vec![4, 64, 512, 4096, 32768, 131072, 524288],
-    };
-    let iters = match scale {
-        Scale::Quick => 20,
-        Scale::Full => 50,
+    let (sizes, iters) = match scale {
+        Scale::Quick => (vec![64, 512, 4096, 65536], 20),
+        Scale::Full => (vec![4, 64, 512, 4096, 32768, 131072, 524288], 50),
     };
     let mut table = Table::new(
         "Figure 11 — ATB latency with service-level hints (us)",
         &["stack", "size(B)", "mean(us)", "p99(us)"],
     );
-    let mut modes = vec![Mode::HatRpc];
-    modes.extend(atb_baselines());
-    for mode in modes {
+    for mode in atb_modes() {
         for &size in &sizes {
             let fabric = Fabric::new(SimConfig::default());
             let r = hat_atb::run_latency(
@@ -190,21 +169,15 @@ pub fn fig11_atb_latency(scale: Scale) -> Table {
 
 /// Fig. 12: ATB throughput — HatRPC vs baselines across client counts.
 pub fn fig12_atb_throughput(scale: Scale) -> Table {
-    let clients: Vec<usize> = match scale {
-        Scale::Quick => vec![1, 8, 24],
-        Scale::Full => vec![1, 4, 16, 32, 64],
-    };
-    let iters = match scale {
-        Scale::Quick => 10,
-        Scale::Full => 24,
+    let (clients, iters) = match scale {
+        Scale::Quick => (vec![1, 8, 24], 10),
+        Scale::Full => (vec![1, 4, 16, 32, 64], 24),
     };
     let mut table = Table::new(
         "Figure 12 — ATB throughput with service-level hints (Kops/s)",
         &["stack", "size(B)", "clients", "kops/s"],
     );
-    let mut modes = vec![Mode::HatRpc];
-    modes.extend(atb_baselines());
-    for mode in modes {
+    for mode in atb_modes() {
         for size in [512usize, 131072] {
             for &n in &clients {
                 let fabric = Fabric::new(SimConfig::default());
@@ -233,19 +206,13 @@ pub fn fig12_atb_throughput(scale: Scale) -> Table {
 }
 
 fn fig_mix(scale: Scale, payload: usize, title: &str) -> Table {
-    let clients: Vec<usize> = match scale {
-        Scale::Quick => vec![2, 8],
-        Scale::Full => vec![2, 8, 16, 32],
-    };
-    let iters = match scale {
-        Scale::Quick => 16,
-        Scale::Full => 32,
+    let (clients, iters) = match scale {
+        Scale::Quick => (vec![2, 8], 16),
+        Scale::Full => (vec![2, 8, 16, 32], 32),
     };
     let mut table =
         Table::new(title, &["stack", "clients", "fast mean(us)", "fast p99(us)", "bulk kops/s"]);
-    let mut modes = vec![Mode::HatRpc];
-    modes.extend(atb_baselines());
-    for mode in modes {
+    for mode in atb_modes() {
         for &n in &clients {
             let fabric = Fabric::new(SimConfig::default());
             let r = hat_atb::run_mix(
@@ -423,17 +390,6 @@ pub fn micro_section3() -> Table {
         "server serves in-bound ops only".to_string(),
     ]);
     table
-}
-
-/// Raw latency inside a caller-provided fabric (exposes fabric stats).
-pub fn raw_latency_in_fabric(
-    fabric: &Fabric,
-    kind: ProtocolKind,
-    poll: PollMode,
-    size: usize,
-    iters: usize,
-) -> RawLatencyPoint {
-    protocol_bench::raw_latency_impl(fabric, kind, poll, size, iters)
 }
 
 #[cfg(test)]

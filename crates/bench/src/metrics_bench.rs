@@ -10,18 +10,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use hat_metrics::{SamplerConfig, SloSpec};
-use hat_rdma_sim::{Fabric, SimConfig};
-use hatrpc_core::engine::{HatClient, HatServer, ServerPolicy};
-use hatrpc_core::service::ServiceSchema;
-
-/// The same two-function micro service the trace capture drives: a
-/// latency-hinted echo and a depth-8 pipelined function.
-const METRICS_IDL: &str = r#"
-    service Micro {
-        binary echo(1: binary p) [ hint: perf_goal = latency, payload_size = 512; ]
-        binary piped(1: binary p) [ hint: perf_goal = latency, payload_size = 512, queue_depth = 8; ]
-    }
-"#;
+use hatrpc_core::engine::{HatClient, HatServer};
 
 /// Result of a sampled micro run.
 pub struct MicroMetrics {
@@ -53,17 +42,8 @@ fn start_live(cfg: SamplerConfig) -> LiveMicro {
     hat_trace::hist::reset();
     hat_metrics::configure(cfg);
     hat_metrics::set_enabled(true);
-    let fabric = Fabric::new(SimConfig::fast_test());
-    let snode = fabric.add_node("server");
-    let schema = ServiceSchema::parse(METRICS_IDL, "Micro").expect("micro IDL parses");
-    let server = HatServer::serve(
-        &fabric,
-        &snode,
-        "micro",
-        schema.clone(),
-        ServerPolicy::Threaded,
-        Arc::new(|| Box::new(|req: &[u8]| req.to_vec())),
-    );
+    // The same two-function micro service the trace capture drives.
+    let (fabric, schema, server) = crate::trace_bench::serve_micro();
     // Attached at serve time; lower the flag so nothing else in this
     // process accidentally starts sampling.
     hat_metrics::set_enabled(false);

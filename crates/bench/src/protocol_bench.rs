@@ -42,10 +42,11 @@ pub fn raw_latency(
     iters: usize,
 ) -> RawLatencyPoint {
     let fabric = Fabric::new(SimConfig::default());
-    raw_latency_impl(&fabric, kind, poll, size, iters)
+    raw_latency_in_fabric(&fabric, kind, poll, size, iters)
 }
 
-pub(crate) fn raw_latency_impl(
+/// [`raw_latency`] inside a caller-provided fabric (exposes fabric stats).
+pub fn raw_latency_in_fabric(
     fabric: &Fabric,
     kind: ProtocolKind,
     poll: PollMode,

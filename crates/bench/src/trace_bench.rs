@@ -8,17 +8,34 @@ use std::sync::Arc;
 use hat_rdma_sim::{Fabric, SimConfig};
 use hatrpc_core::engine::{HatClient, HatServer, ServerPolicy};
 use hatrpc_core::service::ServiceSchema;
-use serde_json::{Map, Number, Value};
+use serde_json::{Map, Value};
 
 /// Two-function micro service: a plain latency-hinted echo (eager
 /// protocol, one span per call) and a `queue_depth = 8` pipelined
 /// function (one flush per window, spans interleaved in flight).
-const TRACE_IDL: &str = r#"
+const MICRO_IDL: &str = r#"
     service Micro {
         binary echo(1: binary p) [ hint: perf_goal = latency, payload_size = 512; ]
         binary piped(1: binary p) [ hint: perf_goal = latency, payload_size = 512, queue_depth = 8; ]
     }
 "#;
+
+/// A fresh fast-test fabric serving the micro service (echo handlers)
+/// on its `server` node.
+pub(crate) fn serve_micro() -> (Fabric, ServiceSchema, HatServer) {
+    let fabric = Fabric::new(SimConfig::fast_test());
+    let snode = fabric.add_node("server");
+    let schema = ServiceSchema::parse(MICRO_IDL, "Micro").expect("micro IDL parses");
+    let server = HatServer::serve(
+        &fabric,
+        &snode,
+        "micro",
+        schema.clone(),
+        ServerPolicy::Threaded,
+        Arc::new(|| Box::new(|req: &[u8]| req.to_vec())),
+    );
+    (fabric, schema, server)
+}
 
 /// Result of a traced micro run.
 pub struct MicroTrace {
@@ -42,18 +59,8 @@ pub struct MicroTrace {
 pub fn capture_micro_trace() -> MicroTrace {
     hat_trace::reset();
     hat_trace::set_enabled(true);
-    let fabric = Fabric::new(SimConfig::fast_test());
-    let snode = fabric.add_node("server");
+    let (fabric, schema, server) = serve_micro();
     let cnode = fabric.add_node("client");
-    let schema = ServiceSchema::parse(TRACE_IDL, "Micro").expect("micro IDL parses");
-    let server = HatServer::serve(
-        &fabric,
-        &snode,
-        "micro",
-        schema.clone(),
-        ServerPolicy::Threaded,
-        Arc::new(|| Box::new(|req: &[u8]| req.to_vec())),
-    );
     let mut client = HatClient::new(&fabric, &cnode, "micro", &schema);
     for i in 0..4u8 {
         let resp = client.call("echo", &vec![i; 256]).expect("echo call");
@@ -73,10 +80,6 @@ pub fn capture_micro_trace() -> MicroTrace {
     }
 }
 
-fn num(v: u64) -> Value {
-    Value::Number(Number::from(v))
-}
-
 /// Latency-histogram rows as a JSON array.
 pub fn latency_json(rows: &[hat_trace::hist::LatencyRow]) -> Value {
     let hists: Vec<Value> = rows
@@ -86,13 +89,13 @@ pub fn latency_json(rows: &[hat_trace::hist::LatencyRow]) -> Value {
             h.insert("protocol".into(), Value::String(row.protocol.to_string()));
             h.insert("fn_scope".into(), Value::String(row.fn_scope.clone()));
             h.insert("size_class".into(), Value::String(row.size_label.to_string()));
-            h.insert("count".into(), num(row.snapshot.count));
-            h.insert("min_ns".into(), num(row.snapshot.min));
-            h.insert("max_ns".into(), num(row.snapshot.max));
-            h.insert("mean_ns".into(), num(row.snapshot.mean));
-            h.insert("p50_ns".into(), num(row.snapshot.p50));
-            h.insert("p90_ns".into(), num(row.snapshot.p90));
-            h.insert("p99_ns".into(), num(row.snapshot.p99));
+            h.insert("count".into(), row.snapshot.count.into());
+            h.insert("min_ns".into(), row.snapshot.min.into());
+            h.insert("max_ns".into(), row.snapshot.max.into());
+            h.insert("mean_ns".into(), row.snapshot.mean.into());
+            h.insert("p50_ns".into(), row.snapshot.p50.into());
+            h.insert("p90_ns".into(), row.snapshot.p90.into());
+            h.insert("p99_ns".into(), row.snapshot.p99.into());
             Value::Object(h)
         })
         .collect();
@@ -107,7 +110,7 @@ pub fn stats_json(fabric: &Fabric, latency: &[hat_trace::hist::LatencyRow]) -> S
     for (name, snap) in &stats.nodes {
         let mut counters = Map::new();
         for (key, value) in snap.fields() {
-            counters.insert(key.to_string(), num(value));
+            counters.insert(key.to_string(), value.into());
         }
         nodes.insert(name.clone(), Value::Object(counters));
     }

@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use hat_hatkv::comparators::{Comparator, ComparatorServer, RawKvClient};
-use hat_hatkv::server::{service_only_schema, HatKvServer, KvVariant};
+use hat_hatkv::server::{service_only_schema, HatKvServer};
 use hat_hatkv::{hat_k_v_schema, HatKVClient};
 use hat_idl::hints::Hint;
 use hat_kvdb::{DbConfig, DbStatsSnapshot, ShardedDb, SyncMode};
@@ -122,7 +122,7 @@ pub struct YcsbConfig {
     pub shards: u32,
     /// Override for the modeled per-commit stall (`None` = the sync
     /// mode's default). The shard sweep raises this so writer-lock
-    /// serialization, not CPU, dominates — see `shard_sweep.rs`.
+    /// serialization, not CPU, dominates — see `sweep::shards`.
     pub commit_cost_ns: Option<u64>,
     /// Keep the IDL's `onesided_get` hints (true) or strip them so every
     /// GET takes the RPC path (false). Only meaningful for
@@ -168,28 +168,25 @@ fn schema_for(clients: usize, service_only: bool, shards: u32, onesided: bool) -
             hints.client.retain(|h| h.key != "onesided_get");
         }
     }
-    for hint in &mut schema.service_hints.shared {
-        if hint.key == "concurrency" {
-            hint.value = clients.to_string();
-        }
-    }
-    if !schema.service_hints.shared.iter().any(|h| h.key == "concurrency") {
-        schema
-            .service_hints
-            .shared
-            .push(Hint { key: "concurrency".into(), value: clients.to_string() });
-    }
+    set_hint(&mut schema.service_hints.shared, "concurrency", clients);
     // The shard count under test rides the server-side `shards` hint, the
     // same way an operator would retune the checked-in IDL's default.
-    for hint in &mut schema.service_hints.server {
-        if hint.key == "shards" {
-            hint.value = shards.to_string();
-        }
-    }
-    if !schema.service_hints.server.iter().any(|h| h.key == "shards") {
-        schema.service_hints.server.push(Hint { key: "shards".into(), value: shards.to_string() });
-    }
+    set_hint(&mut schema.service_hints.server, "shards", shards);
     schema
+}
+
+/// Give every `key` hint in `hints` the value `value`, adding one if
+/// there is none.
+fn set_hint(hints: &mut Vec<Hint>, key: &str, value: impl ToString) {
+    let value = value.to_string();
+    let mut found = false;
+    for hint in hints.iter_mut().filter(|h| h.key == key) {
+        hint.value = value.clone();
+        found = true;
+    }
+    if !found {
+        hints.push(Hint { key: key.into(), value });
+    }
 }
 
 enum AnyKv {
@@ -235,30 +232,15 @@ pub fn run_ycsb_sampled(
 
     let spec = cfg.workload.spec(cfg.records);
 
-    enum Server {
-        // Boxed: HatKvServer carries the engine's reactor/thread plumbing
-        // and dwarfs the comparator variant.
-        Hat(Box<HatKvServer>),
-        Comp(ComparatorServer),
-    }
-    let (server, db) = match cfg.system.comparator() {
+    let (shutdown, db): (Box<dyn FnOnce()>, ShardedDb) = match cfg.system.comparator() {
         None => {
-            let variant = if cfg.system == KvSystem::HatRpcFunction {
-                KvVariant::FunctionHints
-            } else {
-                KvVariant::ServiceHints
-            };
             // The HatRPC deployments build their backend from the
             // negotiated `shards` hint; the bench only writes the schema.
-            let schema = schema_for(
-                cfg.clients,
-                variant == KvVariant::ServiceHints,
-                cfg.shards,
-                cfg.onesided,
-            );
+            let service_only = cfg.system == KvSystem::HatRpcService;
+            let schema = schema_for(cfg.clients, service_only, cfg.shards, cfg.onesided);
             let server = HatKvServer::start_with_schema(&fabric, &snode, "kv", schema, db_config);
             let db = server.db().clone();
-            (Server::Hat(Box::new(server)), db)
+            (Box::new(move || server.shutdown()), db)
         }
         Some(c) => {
             // Comparators have no hint machinery: the backend is built
@@ -272,7 +254,7 @@ pub fn run_ycsb_sampled(
                 comparator_cfg(PollMode::Event),
                 db.clone(),
             );
-            (Server::Comp(server), db)
+            (Box::new(move || server.shutdown()), db)
         }
     };
 
@@ -308,41 +290,29 @@ pub fn run_ycsb_sampled(
         let node = client_nodes[c % client_nodes.len()].clone();
         let barrier = barrier.clone();
         let spec = spec.clone();
-        let system = cfg.system;
-        let ops = cfg.ops_per_client;
-        let clients = cfg.clients;
-        let shards = cfg.shards;
-        let onesided = cfg.onesided;
+        let cfg = cfg.clone();
         handles.push(std::thread::spawn(move || -> RunMeasurement {
             // NOTE: setup panics here would strand the main thread at the
             // barrier; keep every fallible step before the barrier
             // infallible or .expect() only on genuinely impossible paths.
-            let mut client = match system {
-                KvSystem::HatRpcFunction => AnyKv::Hat(Box::new(HatKVClient::new(HatClient::new(
-                    &fabric,
-                    &node,
-                    "kv",
-                    &schema_for(clients, false, shards, onesided),
-                )))),
-                KvSystem::HatRpcService => AnyKv::Hat(Box::new(HatKVClient::new(HatClient::new(
-                    &fabric,
-                    &node,
-                    "kv",
-                    &schema_for(clients, true, shards, onesided),
-                )))),
-                other => {
-                    let comp = other.comparator().expect("comparator system");
-                    AnyKv::Raw(
-                        RawKvClient::connect(
-                            &fabric,
-                            &node,
-                            "kv",
-                            comp.protocol(),
-                            comparator_cfg(PollMode::Busy),
-                        )
-                        .expect("comparator connect"),
-                    )
+            let mut client = match cfg.system.comparator() {
+                None => {
+                    let service_only = cfg.system == KvSystem::HatRpcService;
+                    let schema = schema_for(cfg.clients, service_only, cfg.shards, cfg.onesided);
+                    AnyKv::Hat(Box::new(HatKVClient::new(HatClient::new(
+                        &fabric, &node, "kv", &schema,
+                    ))))
                 }
+                Some(comp) => AnyKv::Raw(
+                    RawKvClient::connect(
+                        &fabric,
+                        &node,
+                        "kv",
+                        comp.protocol(),
+                        comparator_cfg(PollMode::Busy),
+                    )
+                    .expect("comparator connect"),
+                ),
             };
             let mut generator = OpGenerator::new(spec, c as u64 + 1);
             // Warm all channels outside the measured window.
@@ -355,7 +325,7 @@ pub fn run_ycsb_sampled(
             barrier.wait();
             let mut m = RunMeasurement::new();
             let t0 = now_ns();
-            for _ in 0..ops {
+            for _ in 0..cfg.ops_per_client {
                 let op = generator.next_op();
                 let ty = op.op_type();
                 let t = now_ns();
@@ -379,10 +349,7 @@ pub fn run_ycsb_sampled(
         s.stop();
     }
     let shard_stats = db.shard_stats();
-    match server {
-        Server::Hat(s) => s.shutdown(),
-        Server::Comp(s) => s.shutdown(),
-    }
+    shutdown();
 
     let mean_us = [OpType::Get, OpType::Put, OpType::MultiGet, OpType::MultiPut]
         .map(|t| aggregate.histogram(t).map_or(0.0, |h| h.mean_ns() as f64 / 1000.0));

@@ -1574,12 +1574,6 @@ impl Drop for HatServer {
     }
 }
 
-/// Convert connection-level RDMA errors we tolerate during shutdown.
-#[allow(dead_code)]
-fn is_disconnect(e: &CoreError) -> bool {
-    matches!(e, CoreError::Rdma(RdmaError::Disconnected))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -84,11 +84,6 @@ impl Drop for EndpointInner {
 }
 
 impl EndpointInner {
-    #[allow(dead_code)]
-    pub(crate) fn id(&self) -> u64 {
-        self.id
-    }
-
     /// Push a completion to this endpoint's receive CQ.
     pub(crate) fn recv_cq_push(&self, ready_at: u64, completion: Completion) {
         self.recv_cq.inner.push(ready_at, completion);
